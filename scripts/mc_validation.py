@@ -15,7 +15,7 @@ Two experiments:
 
 Usage:
     python3 scripts/mc_validation.py                 # quick settings
-    python3 scripts/mc_validation.py --paths 100000 --steps 2000
+    python3 scripts/mc_validation.py --paths 100000
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ def compensation_sweep(paths: int, steps: int, seed: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--paths", type=int, default=40000)
-    ap.add_argument("--steps", type=int, default=500)
+    ap.add_argument("--steps", type=int, default=500,
+                    help="accepted and checked (>= 1) but ignored: the sampler is exact, "
+                         "with no time grid")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--budget", type=float, default=0.02,
                     help="law-check distance that counts as a failure")

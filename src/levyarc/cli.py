@@ -275,7 +275,9 @@ def _build_parser() -> _Parser:
                          "log_sqrt, gauss_tail_inverse")
     sa.add_argument("--in", dest="infile", required=True, help="triplet JSON")
     sa.add_argument("--paths", type=int, default=100_000)
-    sa.add_argument("--steps", type=int, default=2000)
+    sa.add_argument("--steps", type=int, default=2000,
+                    help="accepted and checked (>= 1) but ignored: the sampler is exact, "
+                         "with no time grid")
     sa.add_argument("--eps", type=float, default=1e-3)
     sa.add_argument("--seed", type=int, default=0)
     sa.add_argument("--grid", default=None, help="LO:HI:PTS z grid for the empirical cf")

@@ -70,14 +70,15 @@ def gauss_tail_inverse(t: float) -> float:
 @dataclass(frozen=True)
 class IntegrandSpec:
     """A deterministic integrand f on [0, T] with the exact quantities the
-    triplet calculus and the simulator consume: the antiderivative F
-    (F(0) = 0), the integrals of f and f^2 over [0, T], and the dilation
-    measure tau_f (image of Lebesgue on [0, T] under |f|)."""
+    triplet calculus and the simulator consume: the integrals of f and f^2
+    over [0, T], and the dilation measure tau_f (image of Lebesgue on [0, T]
+    under |f|). f must accept a numpy array of times in (0, T] and return
+    the array of values; the sampler evaluates it on all jump times of a
+    block at once."""
 
     name: str
     T: float
-    f: Callable[[float], float]
-    F: Callable[[float], float]
+    f: Callable[[np.ndarray], np.ndarray]
     lin_integral: float
     sq_integral: float
     tau_factory: Callable[[], DilationMeasure]
@@ -87,53 +88,23 @@ class IntegrandSpec:
         return self.tau_factory()
 
 
-def _f_log_sqrt(t: float) -> float:
-    return math.sqrt(-math.log(t))
-
-
-def _F_log_sqrt(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 0.5 * SQRT_PI
-    w = math.sqrt(-math.log(t))
-    return t * w + 0.5 * SQRT_PI * float(erfc(w))
-
-
-def _F_log(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    return t - t * math.log(t)
-
-
-def _F_gauss(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 0.5 * SQRT_PI:
-        return 0.5
-    hstar = gauss_tail_inverse(t)
-    return 0.5 * math.exp(-hstar * hstar)
-
-
 def _gauss_dilation() -> DilationMeasure:
     return RadialComponent((), ExpPowerDensity(1.0, 0.0, 1.0, 2.0), 1.0)
 
 
 INTEGRANDS: dict[str, IntegrandSpec] = {
     "cos_pi_half": IntegrandSpec(
-        "cos_pi_half", 1.0,
-        lambda t: math.cos(0.5 * math.pi * t),
-        lambda t: (2.0 / math.pi) * math.sin(0.5 * math.pi * min(max(t, 0.0), 1.0)),
+        "cos_pi_half", 1.0, lambda t: np.cos(0.5 * math.pi * t),
         2.0 / math.pi, 0.5, arcsine_dilation),
     "log": IntegrandSpec(
-        "log", 1.0, lambda t: -math.log(t), _F_log,
-        1.0, 2.0, exp_dilation),
+        "log", 1.0, lambda t: -np.log(t), 1.0, 2.0, exp_dilation),
     "log_sqrt": IntegrandSpec(
-        "log_sqrt", 1.0, _f_log_sqrt, _F_log_sqrt,
-        0.5 * SQRT_PI, 1.0, lambda: power_exp_dilation(-2.0, 2.0)),
+        "log_sqrt", 1.0, lambda t: np.sqrt(-np.log(t)), 0.5 * SQRT_PI, 1.0,
+        lambda: power_exp_dilation(-2.0, 2.0)),
     "gauss_tail_inverse": IntegrandSpec(
-        "gauss_tail_inverse", 0.5 * SQRT_PI, gauss_tail_inverse, _F_gauss,
-        0.5, 0.25 * SQRT_PI, _gauss_dilation),
+        "gauss_tail_inverse", 0.5 * SQRT_PI,
+        lambda t: erfcinv(2.0 * np.asarray(t) / SQRT_PI), 0.5, 0.25 * SQRT_PI,
+        _gauss_dilation),
 }
 
 
@@ -187,9 +158,7 @@ class Triplet:
             raise MalformedMeasure("Sigma must be nonnegative definite within 1e-12")
         report = validate(self.nu, "levy")
         if not report.ok:
-            bad = "; ".join(f"component {c.index}: {c.detail}"
-                            for c in report.components if not c.ok)
-            raise MalformedMeasure(f"nu fails the levy check: {bad}")
+            raise MalformedMeasure(f"nu fails the levy check: {report.failures()}")
         object.__setattr__(self, "Sigma", sig)
         object.__setattr__(self, "gamma", gam)
 
@@ -285,12 +254,9 @@ def _centering_shift(rc, u: float, abs_tol: float) -> float:
     return integrate(rc, g, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
 
 
-def transform_triplet(t: Triplet, f: IntegrandSpec | str, *,
-                      with_bound: bool = False):
+def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:
     """Triplet of the law of the integral of f against the Levy process whose
-    time-1 law has triplet t. Returns the new Triplet, or (Triplet, bound)
-    when with_bound is set, where bound is a conservative absolute error
-    estimate on the drift coordinates from the two quadrature layers.
+    time-1 law has triplet t.
 
     The drift correction integrates, over the dilation measure, the mismatch
     between the centering term evaluated at scaled and unscaled jump sizes;
@@ -300,25 +266,16 @@ def transform_triplet(t: Triplet, f: IntegrandSpec | str, *,
     sigma_out = spec.sq_integral * t.Sigma
     nu_out = upsilon_tau(t.nu, spec.tau()) if not t.nu.is_zero() else t.nu
     gamma_out = spec.lin_integral * t.gamma.copy()
-    outer_tol = 1e-10
     if not t.nu.is_zero():
         tau = spec.tau()
         corr = np.zeros(t.d)
         for dirn, rc in t.nu.components:
             val = integrate(
                 tau, lambda u: u * _centering_shift(rc, u, 1e-12),
-                (0.0, math.inf), abs_tol=outer_tol, g_moment=1.0)
+                (0.0, math.inf), abs_tol=1e-10, g_moment=1.0)
             corr += rc.weight * val * dirn.array
         gamma_out = gamma_out + corr
-    out = Triplet(sigma_out, nu_out, gamma_out)
-    if with_bound:
-        bound = outer_tol + 1e-12 * max(_tau_mass(spec), 1.0)
-        return out, bound
-    return out
-
-
-def _tau_mass(spec: IntegrandSpec) -> float:
-    return integrate(spec.tau(), lambda u: 1.0, (0.0, math.inf), abs_tol=1e-9)
+    return Triplet(sigma_out, nu_out, gamma_out)
 
 
 def compose_g(t: Triplet) -> Triplet:

@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import gammaincc
 
 from .errors import MalformedMeasure
@@ -415,11 +416,12 @@ class PolarMeasure:
         for dirn, rc in comps:
             if dirn.d != self.d:
                 raise MalformedMeasure(f"direction {dirn.coords} has dimension {dirn.d}, expected {self.d}")
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                diff = np.linalg.norm(comps[i][0].array - comps[j][0].array)
-                if diff <= DIRECTION_TOL:
-                    raise MalformedMeasure(f"duplicate directions at indices {i} and {j}")
+        if len(comps) > 1:
+            coords = np.array([dirn.coords for dirn, _ in comps])
+            pairs = cKDTree(coords).query_pairs(DIRECTION_TOL)
+            if pairs:
+                i, j = min(pairs)
+                raise MalformedMeasure(f"duplicate directions at indices {i} and {j}")
         object.__setattr__(self, "components", comps)
 
     @staticmethod
@@ -460,6 +462,11 @@ class ValidationReport:
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def failures(self) -> str:
+        """The failing components as "component i: detail", joined by "; "."""
+        return "; ".join(f"component {c.index}: {c.detail}"
+                         for c in self.components if not c.ok)
 
 
 _LEVELS = {"levy": -3.0, "levy_l1": -2.0}
@@ -614,9 +621,8 @@ def power_reparam(m: PolarMeasure, exponent: float) -> PolarMeasure:
     if exponent == 2.0:
         report = validate(m, "levy")
         if not report.ok:
-            bad = "; ".join(f"component {c.index}: {c.detail}"
-                            for c in report.components if not c.ok)
-            raise MalformedMeasure(f"power reparametrization by 2 needs the levy check: {bad}")
+            raise MalformedMeasure("power reparametrization by 2 needs the levy check: "
+                                   f"{report.failures()}")
 
     def mapper(rc: RadialComponent) -> RadialComponent:
         atoms = tuple((loc ** exponent, mass) for loc, mass in rc.atoms)

@@ -13,26 +13,32 @@ drift is the triplet gamma corrected for the centering of both pieces:
 so that Gaussian + drift + compound Poisson (+ compensation) has exactly the
 target characteristic exponent up to the small-jump remainder.
 
-Reproducibility contract: path k draws from a counter-based stream keyed by
-(seed, k). Results are therefore independent of evaluation order and identical
-across serial and threaded runs; the draw order within one path is fixed
-(Gaussian block, then for each jump component in turn its counts followed by
-its jump-size uniforms, then the single aggregated compensation normal).
+The integrand f on [0, T] is deterministic, so int_0^T f dX is sampled
+exactly, with no time grid, as a Poisson series:
 
-For the time-discretized integral, each cell uses the cell average of the
-integrand, c_k = (F(t_k) - F(t_{k-1})) / dt, as its coefficient. The cell
-average equals the analytic integral of f over the cell, so integrands with
-an integrable singularity at t = 0 (the logarithmic family) need no special
-first-cell handling, and the drift picks up exactly sum c_k dt = int f.
+    x = (int f) b_eps + sqrt(int f^2) Sigma^(1/2) N
+        + sum_i f(tau_i) J_i xi_i + sqrt(int f^2) C_eps^(1/2) N'
+
+Each jump component (direction xi) has Poisson(rate * T) jumps at uniform
+times tau = T (1 - U) in (0, T], where f is finite even for the logarithmic
+integrands, with radii J from its jump table; C_eps is the small-jump
+covariance. The time-1 law is the case f = 1 on [0, 1].
+
+Reproducibility contract: paths are drawn vectorised in blocks of
+BLOCK_PATHS. Each (block, variate kind, component) has its own counter-based
+Philox stream: the key is (seed, block) and the upper counter words hold
+(component index, kind). The kinds are the Gaussian normals, per jump
+component its Poisson counts and its (radius, time) uniform pairs, and the
+compensation normals. Within a stream the draws are laid out path by path,
+and the last block draws only the paths requested, so a path's draws depend
+only on (seed, path index), never on the total path count.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,12 +49,17 @@ from .mappings import CharFnGrid, IntegrandSpec, Triplet, integrand
 from .measures import RadialComponent, integrate
 from .quadrature import geometric_grid
 
-THREADS_ENV = "LEVY_ARCSINE_THREADS"
 JUMP_TABLE_PER_DECADE = 512
+# part of the stream layout: changing it changes every draw
+BLOCK_PATHS = 256
+_GAUSS, _COUNTS, _JUMPS, _COMP = range(4)
 
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Sampler settings. time_steps is validated but has no effect: the
+    integral is sampled exactly, without a time grid."""
+
     paths: int = 100_000
     time_steps: int = 2000
     eps: float = 1e-3
@@ -179,142 +190,106 @@ class _Machine:
 
     d: int
     drift: np.ndarray              # b_eps
-    gauss_chol: np.ndarray | None  # cholesky of Sigma, None when Sigma = 0
-    comp_chol: np.ndarray | None   # cholesky of small-jump covariance
-    tables: list[_JumpTable]
-    dirs: list[np.ndarray]
-    rates: np.ndarray
+    gauss_root: np.ndarray | None  # Sigma^(1/2), None when Sigma = 0
+    comp_root: np.ndarray | None   # small-jump covariance^(1/2)
+    jumps: list[tuple[int, _JumpTable, np.ndarray]]  # (component index, table, xi)
 
 
-def _chol_or_none(mat: np.ndarray) -> np.ndarray | None:
+def _sqrt_or_none(mat: np.ndarray) -> np.ndarray | None:
     if float(np.max(np.abs(mat))) == 0.0:
         return None
     w, v = np.linalg.eigh(0.5 * (mat + mat.T))
     w = np.clip(w, 0.0, None)
-    root = v @ np.diag(np.sqrt(w)) @ v.T
-    return root
+    return v @ np.diag(np.sqrt(w)) @ v.T
 
 
 def _build_machine(t: Triplet, cfg: SimConfig) -> _Machine:
-    tables = []
-    dirs = []
-    for dirn, rc in t.nu.components:
+    jumps = []
+    for idx, (dirn, rc) in enumerate(t.nu.components):
         tab = _JumpTable(rc, cfg.eps)
         if tab.rate > 0.0:
-            tables.append(tab)
-            dirs.append(dirn.array)
-    rates = np.array([tab.rate for tab in tables]) if tables else np.zeros(0)
-    if not tables and not t.nu.is_zero():
+            jumps.append((idx, tab, dirn.array))
+    if not jumps and not t.nu.is_zero():
         warnings.warn("jump cut eps leaves zero jump rate for a nonzero measure",
                       ConfigError)
-    drift = t.gamma - _big_jump_centering(t.nu, cfg.eps)
-    comp = None
-    if cfg.compensate_small_jumps:
-        cov, shift = _small_jump_stats(t.nu, cfg.eps)
-        comp = _chol_or_none(cov)
-        drift = drift + shift
-    else:
-        _, shift = _small_jump_stats(t.nu, cfg.eps)
-        drift = drift + shift
-    return _Machine(t.d, drift, _chol_or_none(t.Sigma), comp, tables, dirs, rates)
+    cov, shift = _small_jump_stats(t.nu, cfg.eps)
+    drift = t.gamma - _big_jump_centering(t.nu, cfg.eps) + shift
+    comp = _sqrt_or_none(cov) if cfg.compensate_small_jumps else None
+    return _Machine(t.d, drift, _sqrt_or_none(t.Sigma), comp, jumps)
 
 
-def _path_rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, k]))
+class _Streams:
+    """Philox streams keyed by (seed, block); the two upper counter words hold
+    (component, kind), so no two streams share a counter value."""
+
+    def __init__(self, seed: int):
+        self._seed = seed & 0xFFFFFFFFFFFFFFFF
+        self._bits = np.random.Philox(key=[self._seed, 0])
+        self._gen = np.random.Generator(self._bits)
+
+    def __call__(self, block: int, kind: int, comp: int = 0) -> np.random.Generator:
+        # re-keying one generator costs a quarter of constructing a new one
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([0, 0, comp, kind], np.uint64),
+                      "key": np.array([self._seed, block], np.uint64)},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return self._gen
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_paths(worker, paths: int, d: int) -> np.ndarray:
-    out = np.empty((paths, d))
-    threads = min(_thread_count(), paths)
-    if threads <= 1:
-        for k in range(paths):
-            out[k] = worker(k)
-        return out
-    chunk = (paths + threads - 1) // threads
-
-    def block(lo: int):
-        for k in range(lo, min(lo + chunk, paths)):
-            out[k] = worker(k)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(block, range(0, paths, chunk)))
-    return out
+def _normals(gen: np.random.Generator, root: np.ndarray, n: int) -> np.ndarray:
+    """n rows root @ N with N standard normal, summed column by column so
+    that a row's bits never depend on n."""
+    z = gen.standard_normal((n, root.shape[0]))
+    return sum(np.outer(z[:, j], root[:, j]) for j in range(root.shape[0]))
 
 
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
 
+# f = 1 on [0, 1]: the integral is the time-1 law
+_IDENTITY = IntegrandSpec("id", 1.0, np.ones_like, 1.0, 1.0,
+                          lambda: RadialComponent(((1.0, 1.0),)))
+
+
+def _sample(t: Triplet, spec: IntegrandSpec, cfg: SimConfig) -> SampleSet:
+    mach = _build_machine(t, cfg)
+    scale = math.sqrt(spec.sq_integral)
+    gauss = None if mach.gauss_root is None else scale * mach.gauss_root
+    comp = None if mach.comp_root is None else scale * mach.comp_root
+    drift = spec.lin_integral * mach.drift
+    streams = _Streams(cfg.seed)
+    out = np.empty((cfg.paths, mach.d))
+    for block, lo in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
+        n = min(BLOCK_PATHS, cfg.paths - lo)
+        x = out[lo:lo + n]
+        x[:] = drift
+        if gauss is not None:
+            x += _normals(streams(block, _GAUSS), gauss, n)
+        for idx, tab, xi in mach.jumps:
+            counts = streams(block, _COUNTS, idx).poisson(tab.rate * spec.T, n)
+            total = int(counts.sum())
+            if total:
+                u = streams(block, _JUMPS, idx).random((total, 2))
+                w = spec.f(spec.T * (1.0 - u[:, 1])) * tab.sizes(u[:, 0])
+                x += np.outer(np.bincount(np.repeat(np.arange(n), counts), w, n), xi)
+        if comp is not None:
+            x += _normals(streams(block, _COMP), comp, n)
+    return SampleSet(mach.d, out, cfg)
+
+
 def sample_id(t: Triplet, cfg: SimConfig) -> SampleSet:
     """Draws of the law at time 1: Gaussian part + corrected drift + compound
     Poisson of jumps with radius above eps (+ aggregated compensation)."""
-    mach = _build_machine(t, cfg)
-    d = mach.d
-
-    def worker(k: int) -> np.ndarray:
-        rng = _path_rng(cfg.seed, k)
-        x = mach.drift.copy()
-        if mach.gauss_chol is not None:
-            x = x + mach.gauss_chol @ rng.standard_normal(d)
-        for tab, xi in zip(mach.tables, mach.dirs):
-            n = rng.poisson(tab.rate)
-            if n:
-                x = x + float(tab.sizes(rng.random(n)).sum()) * xi
-        if mach.comp_chol is not None:
-            x = x + mach.comp_chol @ rng.standard_normal(d)
-        return x
-
-    return SampleSet(d, _run_paths(worker, cfg.paths, d), cfg)
+    return _sample(t, _IDENTITY, cfg)
 
 
 def sample_integral(t: Triplet, f: IntegrandSpec | str, cfg: SimConfig) -> SampleSet:
-    """Draws of int_0^T f dX via time discretization: the process increment
-    over each cell is sampled from the triplet scaled by dt and weighted by
-    the cell-average coefficient c_k."""
-    spec = integrand(f)
-    mach = _build_machine(t, cfg)
-    d = mach.d
-    steps = cfg.time_steps
-    dt = spec.T / steps
-    edges = np.linspace(0.0, spec.T, steps + 1)
-    coefs = np.diff([spec.F(tt) for tt in edges]) / dt
-    drift_term = mach.drift * float(np.sum(coefs) * dt)
-    c2dt = float(np.sum(coefs * coefs) * dt)
-    gauss_scale = math.sqrt(c2dt)
-    step_rates = [tab.rate * dt for tab in mach.tables]
-
-    def worker(k: int) -> np.ndarray:
-        rng = _path_rng(cfg.seed, k)
-        x = drift_term.copy()
-        if mach.gauss_chol is not None:
-            incs = rng.standard_normal((steps, d))
-            x = x + gauss_scale_adjusted(mach.gauss_chol, incs, coefs, dt)
-        for tab, xi, rate in zip(mach.tables, mach.dirs, step_rates):
-            counts = rng.poisson(rate, steps)
-            total = int(counts.sum())
-            if total:
-                sizes = tab.sizes(rng.random(total))
-                x = x + float(np.repeat(coefs, counts) @ sizes) * xi
-        if mach.comp_chol is not None:
-            x = x + gauss_scale * (mach.comp_chol @ rng.standard_normal(d))
-        return x
-
-    return SampleSet(d, _run_paths(worker, cfg.paths, d), cfg)
-
-
-def gauss_scale_adjusted(chol: np.ndarray, incs: np.ndarray,
-                         coefs: np.ndarray, dt: float) -> np.ndarray:
-    """sum_k c_k * chol @ N_k * sqrt(dt), vectorized over cells."""
-    weighted = coefs * math.sqrt(dt)
-    return chol @ (incs.T @ weighted)
+    """Exact draws of int_0^T f dX (see the module docstring); cfg.time_steps
+    has no effect."""
+    return _sample(t, integrand(f), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -466,8 +466,8 @@ def _maybe_tabulated(dens: TransformedDensity) -> Density:
 def _require(m: PolarMeasure, level: str, op: str) -> None:
     report = validate(m, level)
     if not report.ok:
-        bad = "; ".join(f"component {c.index}: {c.detail}" for c in report.components if not c.ok)
-        raise DomainError(f"{op} requires a measure passing the {level} check: {bad}")
+        raise DomainError(f"{op} requires a measure passing the {level} check: "
+                          f"{report.failures()}")
 
 
 def _kernel_component(kernel: str, rc: RadialComponent,
@@ -526,9 +526,7 @@ def upsilon_tau(m: PolarMeasure, tau: DilationMeasure) -> PolarMeasure:
     out = m.map_components(mapper)
     report = validate(out, "levy")
     if not report.ok:
-        bad = "; ".join(f"component {c.index}: {c.detail}"
-                        for c in report.components if not c.ok)
-        raise RangeError(f"scale mixture output fails the levy check: {bad}")
+        raise RangeError(f"scale mixture output fails the levy check: {report.failures()}")
     return out
 
 

@@ -253,7 +253,7 @@ def _check_montecarlo():
     kept_prefix = None
     for fname, fix in (("gauss", gauss), ("poisson", poisson)):
         for spec_name in ("cos_pi_half", "log_sqrt"):
-            cfg = SimConfig(paths=100_000, time_steps=2000, eps=1e-3, seed=7)
+            cfg = SimConfig(paths=100_000, eps=1e-3, seed=7)
             ref = char_fn_grid(transform_triplet(fix, spec_name), zs)
             t0 = time.perf_counter()
             ss = sample_integral(fix, spec_name, cfg)
@@ -264,7 +264,7 @@ def _check_montecarlo():
             notes.append(f"{fname}/{spec_name}: ecf distance {dist:.4f} in {dt:.1f}s")
             if fname == "poisson" and spec_name == "cos_pi_half":
                 kept_prefix = ss.draws[:2000].copy()
-    cfg_small = SimConfig(paths=2000, time_steps=2000, eps=1e-3, seed=7)
+    cfg_small = SimConfig(paths=2000, eps=1e-3, seed=7)
     s1 = sample_integral(poisson, "cos_pi_half", cfg_small)
     s2 = sample_integral(poisson, "cos_pi_half", cfg_small)
     same = bool(np.array_equal(s1.draws, s2.draws))

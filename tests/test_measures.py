@@ -51,6 +51,32 @@ def test_duplicate_atom_locations_merge():
     assert rc.atoms == ((1.0, 0.75),)
 
 
+def _circle_measure(angles):
+    unit = la.RadialComponent(((1.0, 1.0),))
+    return la.PolarMeasure(2, tuple((la.Direction.normalized((math.cos(a), math.sin(a))), unit)
+                                    for a in angles))
+
+
+def test_near_duplicate_directions_rejected_by_index():
+    angles = list(np.linspace(0.0, 2.0 * math.pi, 500, endpoint=False))
+    angles[401] = angles[123] + 5e-13
+    with pytest.raises(MalformedMeasure, match=r"duplicate directions at indices 123 and 401$"):
+        _circle_measure(angles)
+    # 1e-10 apart is farther than the tolerance: two directions
+    angles[401] = angles[123] + 1e-10
+    assert len(_circle_measure(angles).components) == 500
+
+
+def test_exact_duplicate_directions_rejected():
+    with pytest.raises(MalformedMeasure, match=r"duplicate directions at indices 0 and 2$"):
+        _circle_measure([0.0, 1.0, 0.0, 0.0])
+
+
+def test_many_distinct_directions_construct():
+    m = _circle_measure(np.linspace(0.0, 2.0 * math.pi, 2000, endpoint=False))
+    assert len(m.components) == 2000
+
+
 def test_table_density_rejects_bad_input():
     with pytest.raises(MalformedMeasure):
         la.TableDensity([1.0], [1.0])

@@ -1,6 +1,7 @@
 """Monte Carlo sampler: config validation, exactness on degenerate triplets,
-law marginals, reproducibility, threading, and the small-jump compensation
-scheme's convergence."""
+law marginals, reproducibility (reruns, path prefixes across block edges,
+thread settings and time_steps have no effect), and the small-jump
+compensation scheme's convergence."""
 
 import json
 import math
@@ -16,6 +17,13 @@ ZS = [(float(z),) for z in np.linspace(-5.0, 5.0, 21)]
 
 def small(paths=4000, steps=200, seed=3, **kw):
     return la.SimConfig(paths=paths, time_steps=steps, eps=1e-3, seed=seed, **kw)
+
+
+def gauss_plus_density():
+    """Gaussian part plus an infinite-activity density: every variate kind."""
+    return la.Triplet([[0.7]],
+                      la.half_line_measure(density=la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0)),
+                      [0.2])
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +114,38 @@ def test_thread_count_does_not_change_draws(poisson_triplet, monkeypatch):
     assert np.array_equal(serial.draws, threaded.draws)
 
 
+@pytest.mark.parametrize("short,long", [(255, 256), (256, 257), (255, 257), (1, 5000)])
+def test_path_prefix_stable_across_block_edges(short, long):
+    t = gauss_plus_density()
+    a = la.sample_integral(t, "log", small(paths=short))
+    b = la.sample_integral(t, "log", small(paths=long))
+    assert np.array_equal(b.draws[:short], a.draws)
+
+
+def test_time_steps_do_not_change_draws():
+    t = gauss_plus_density()
+    a = la.sample_integral(t, "cos_pi_half", small(paths=600, steps=1))
+    b = la.sample_integral(t, "cos_pi_half", small(paths=600, steps=5000))
+    assert np.array_equal(a.draws, b.draws)
+
+
+@pytest.mark.parametrize("spec", ["log", "log_sqrt"])
+def test_draws_finite_under_singular_integrands(spec):
+    # f blows up at t -> 0; jump times stay in (0, T]
+    ss = la.sample_integral(gauss_plus_density(), spec, small(paths=5000))
+    assert np.all(np.isfinite(ss.draws))
+
+
+def test_jump_components_draw_independently():
+    # unit atoms on both axes; the drift cancels their centering, so each
+    # coordinate is the Poisson(1) jump count of its own component
+    unit = la.RadialComponent(((1.0, 1.0),))
+    nu = la.PolarMeasure(2, ((la.Direction((1.0, 0.0)), unit), (la.Direction((0.0, 1.0)), unit)))
+    ss = la.sample_id(la.Triplet(np.zeros((2, 2)), nu, [0.5, 0.5]), small(paths=20_000))
+    assert np.allclose(ss.draws, np.round(ss.draws))
+    assert abs(np.corrcoef(ss.draws.T)[0, 1]) < 0.05
+
+
 def test_different_seeds_differ(poisson_triplet):
     a = la.sample_integral(poisson_triplet, "cos_pi_half", small(seed=1))
     b = la.sample_integral(poisson_triplet, "cos_pi_half", small(seed=2))
@@ -116,12 +156,24 @@ def test_different_seeds_differ(poisson_triplet):
 # distributional agreement with the triplet calculus
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("spec", ["cos_pi_half", "log_sqrt"])
+@pytest.mark.parametrize("spec", ["cos_pi_half", "log_sqrt", "log", "gauss_tail_inverse"])
 def test_integral_law_matches_transformed_triplet(poisson_triplet, spec):
     ref = la.char_fn_grid(la.transform_triplet(poisson_triplet, spec), ZS)
     ss = la.sample_integral(poisson_triplet, spec,
                             la.SimConfig(paths=20_000, time_steps=400, eps=1e-3, seed=7))
     assert la.cf_distance(la.empirical_cf(ss, ZS), ref) <= 0.03
+
+
+def test_multi_direction_law_matches_transformed_triplet():
+    dirs = [la.Direction.normalized((math.cos(a), math.sin(a))) for a in (0.0, 2.1, 4.0)]
+    atoms = [((0.6, 0.5),), ((1.0, 0.8),), ((1.4, 0.3),)]
+    nu = la.PolarMeasure(2, tuple((d, la.RadialComponent(a)) for d, a in zip(dirs, atoms)))
+    t = la.Triplet([[0.5, 0.2], [0.2, 0.3]], nu, [0.1, -0.2])
+    zs = [(r * math.cos(a), r * math.sin(a)) for r in (0.5, 1.5, 3.0) for a in (0.3, 1.9, 3.5)]
+    ref = la.char_fn_grid(la.transform_triplet(t, "cos_pi_half"), zs)
+    ss = la.sample_integral(t, "cos_pi_half",
+                            la.SimConfig(paths=20_000, eps=1e-3, seed=7))
+    assert la.cf_distance(la.empirical_cf(ss, zs), ref) <= 0.03
 
 
 def test_compensation_improves_and_converges():
