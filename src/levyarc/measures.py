@@ -34,8 +34,8 @@ from scipy.spatial import cKDTree
 from scipy.special import gammaincc
 
 from .errors import MalformedMeasure
-from .quadrature import (DEFAULT_ABS_TOL, adaptive_quad, exp_tail_radius,
-                         geometric_grid)
+from .quadrature import (DEFAULT_ABS_TOL, _decade_marks, adaptive_quad,
+                         exp_tail_radius, geometric_grid)
 
 DIRECTION_TOL = 1e-12
 TABLE_POINTS_PER_DECADE = 512
@@ -554,20 +554,9 @@ def integrate(rc: RadialComponent, g: Callable[[float], float],
     radii = [r for r in dens.interior_singular_radii() if lo < r < hi]
     if radii:
         points = sorted(set(points or []) | set(radii))
-    if math.isfinite(hi):
-        # a slowly decaying envelope can push the truncation radius many
-        # orders of magnitude past the scale where the mass sits, and the
-        # initial Gauss-Kronrod pass then never samples that region; decade
-        # marks force a subinterval at every scale
-        floor = max(lo, hi * 1e-12)
-        if hi > 1e4 * floor:
-            marks = []
-            x = floor * 10.0
-            while x < hi * 0.999:
-                marks.append(x)
-                x *= 10.0
-            if marks:
-                points = sorted(set(points or []) | set(marks))
+    marks = _decade_marks(lo, hi) if math.isfinite(hi) else []
+    if marks:
+        points = sorted(set(points or []) | set(marks))
     total += adaptive_quad(lambda r: g(r) * dens.value(r), lo, hi,
                            abs_tol=abs_tol, singular_left=sing_lo,
                            singular_right=sing_hi, points=points,

@@ -122,6 +122,24 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, *,
     return total
 
 
+def _decade_marks(lo: float, hi: float) -> list[float]:
+    """Break points one decade apart between max(lo, hi * 1e-12) and hi, when
+    that range spans more than four decades; none otherwise.
+
+    A slowly decaying envelope can push a truncation radius many orders of
+    magnitude past the scale where the mass sits, and the initial
+    Gauss-Kronrod pass then never samples that region; a mark at every
+    decade forces a subinterval at every scale."""
+    floor = max(lo, hi * 1e-12)
+    marks: list[float] = []
+    if hi > 1e4 * floor:
+        x = floor * 10.0
+        while x < hi * 0.999:
+            marks.append(x)
+            x *= 10.0
+    return marks
+
+
 def exp_tail_radius(coeff: float, rate: float, power: float, tol: float,
                     floor: float = 1.0) -> float:
     """Smallest R >= floor with coeff * exp(-rate * R**power) <= tol.

@@ -1,24 +1,28 @@
 """Integral transforms of polar measures.
 
-Four kernels act on a radial component (atoms + density) and produce a new
+Two kernels act on a radial component (atoms + density) and produce a new
 radial density evaluated lazily by quadrature:
 
-* a1:        out(r) = (2/pi) * int_(r^2,oo) (u - r^2)^(-1/2) src(du)
-* a2:        out(r) = (2/pi) * int_(r,oo)  (s^2 - r^2)^(-1/2) src(ds)
-* frac_half: out(u) = pi^(-1/2) * int_(u,oo) (s - u)^(-1/2) src(ds)
-* upsilon:   image of src under scaling by an independent factor drawn from a
-             dilation measure tau; density part
-             out(r) = int u^(-1) src_dens(r/u) tau(du), with atom-by-atom
-             cross terms handled in closed form.
+* the half-integral H(x) = int_(x,oo) (s - x)^(-1/2) src(ds), read at
+  x = r^2 with constant 2/pi for the first arcsine transform a1, and at
+  x = r with constant pi^(-1/2) for the half-order integral frac_half;
+* the scale mixture (upsilon): the image of src under scaling by an
+  independent factor drawn from a dilation measure tau; density part
+  out(r) = int u^(-1) src_dens(r/u) tau(du), with atom-by-atom cross terms
+  handled in closed form.
 
-a1 and frac_half share the half-integral int_(x,oo) (s - x)^(-1/2) src(ds);
-a1 is that object evaluated at x = r^2, which is also why a1 equals a2 after
-the r -> r^2 reparametrization of the source.
+The other transforms reduce to these two, at most after an exact power map
+of the radius (measures.power_reparam). The second arcsine transform a2, kernel
+(2/pi) (s^2 - r^2)^(-1/2), is the scale mixture against the arcsine dilation
+(2/pi) (1 - u^2)^(-1/2) du on (0, 1), which is the route arcsine2() takes;
+it is also a1 after the source radius is squared, the route of
+arcsine2_direct(). a1 is in turn a2 after r -> r^(1/2), so it could run on
+the scale mixture too, but it stays on the half-integral kernel: that keeps
+arcsine2_direct() an independent cross-check of arcsine2() instead of the
+same computation twice.
 
-The scale-mixture (upsilon) form with the arcsine dilation
-(2/pi) (1 - u^2)^(-1/2) du on (0, 1) reproduces a2 exactly; arcsine2() uses
-that route, and arcsine2_direct() keeps the direct kernel as an independent
-cross-check.
+The half-integral kernel and the inversion of a1 share one Abel evaluator,
+int g(s) (s - x)^(-1/2) ds; the inversion reads it with g(s) = dens(sqrt(s)).
 
 Nesting discipline: each kernel whose source carries a density adds one
 quadrature level. Two levels are evaluated exactly (outer tolerance 1e-10,
@@ -30,14 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
                        PolarMeasure, RadialComponent, TableDensity, integrate,
-                       tabulate_density, validate)
-from .quadrature import adaptive_quad
+                       power_reparam, tabulate_density, validate)
+from .quadrature import _decade_marks, adaptive_quad
 
 # a dilation measure is structurally a radial component: atoms plus a density
 # on (0, oo), total mass finite near infinity and integrating u^2 near zero.
@@ -98,39 +103,6 @@ def power_exp_dilation(alpha: float, beta: float) -> DilationMeasure:
 # shared quadrature pieces
 # ---------------------------------------------------------------------------
 
-def _half_integral(src: RadialComponent, x: float, abs_tol: float) -> float:
-    """int over (x, oo) of (s - x)^(-1/2) against the source radial measure."""
-    total = 0.0
-    for loc, mass in src.atoms:
-        if loc > x:
-            total += mass / math.sqrt(loc - x)
-    dens = src.density
-    if dens is None:
-        return total
-    lo = max(x, dens.support[0])
-    hi = dens.support[1]
-    if hi <= lo:
-        return total
-    if math.isinf(hi) and dens.tail_all_moments():
-        try:
-            # beyond max(2x, R): (s - x)^(-1/2) <= sqrt(2) s^(-1/2)
-            hi = max(2.0 * x, dens.weighted_tail_radius(abs_tol / math.sqrt(2.0), -0.5))
-            hi = max(hi, lo * (1.0 + 1e-12))
-        except NotImplementedError:
-            pass
-    sing_lo = lo == x
-    sing_hi = (dens.singular_at_high() and math.isfinite(dens.support[1])
-               and hi >= dens.support[1])
-    total += adaptive_quad(lambda s: dens.value(s) / math.sqrt(s - x), lo, hi,
-                           abs_tol=abs_tol, singular_left=sing_lo,
-                           singular_right=sing_hi, label="half integral")
-    return total
-
-
-def _rc_sup(rc: RadialComponent) -> float:
-    return rc.sup_support
-
-
 def _rc_tail_radius(rc: RadialComponent, tol: float, moment: float = 0.0) -> float:
     """Radius beyond which the weighted radial mass is certified below tol.
     Raises NotImplementedError when the density has no envelope."""
@@ -165,53 +137,98 @@ def _zero_bound(dens: Density) -> tuple[float, float]:
     return c, a
 
 
+def _sine_mapped_piece(g: Callable[[float], float], x: float, a: float, b: float,
+                       pts: list[float], abs_tol: float, label: str) -> float:
+    """Integral of g(s) / sqrt(s - x) over (a, b) with x <= a < b,
+    via s = a + (b - a) sin^2(theta). The jacobian absorbs inverse square
+    root blowups at both edges, including the s = x anchor when a == x, so
+    the integrand never divides by a difference that can underflow."""
+    span = b - a
+    root_span = math.sqrt(span)
+    anchored = (a == x)
+
+    def integrand(theta: float) -> float:
+        st = math.sin(theta)
+        ct = math.cos(theta)
+        s = a + span * st * st
+        v = g(s)
+        if anchored:
+            return 2.0 * root_span * ct * v
+        return 2.0 * span * st * ct * v / math.sqrt(s - x)
+
+    mapped = None
+    if pts:
+        mapped = [math.asin(min(1.0, math.sqrt((p - a) / span))) for p in pts]
+    return adaptive_quad(integrand, 0.0, 0.5 * math.pi, abs_tol=abs_tol,
+                         points=mapped, label=label)
+
+
+def _abel_integral(g: Callable[[float], float], x: float, lo: float, hi: float,
+                   blowups: Iterable[float], knots: Sequence[float],
+                   abs_tol: float, label: str) -> float:
+    """int over (max(x, lo), hi) of g(s) (s - x)^(-1/2) ds; hi may be inf.
+
+    g may blow up integrably at either end and at each of the blowups; the
+    range is split there so every blowup sits at a piece edge, where the
+    sine substitution absorbs it. knots are kinks of g (the knots of a
+    table), handed to the quadrature as break points."""
+    start = max(x, lo)
+    if hi <= start:
+        return 0.0
+    cuts: list[float] = []
+    for c in sorted(set(blowups)):
+        if not start < c < hi:
+            continue
+        if c - start <= 1e-12 * c:
+            # x sits at this blowup to machine resolution; g is unresolvable
+            # on the sliver, so read the integral right continuously from
+            # above
+            continue
+        if math.isfinite(hi) and hi - c <= 1e-12 * hi:
+            continue
+        if cuts and c - cuts[-1] <= 1e-12 * c:
+            continue
+        cuts.append(c)
+    edges = [start] + cuts + [hi]
+    n = len(edges) - 1
+    val = 0.0
+    for a, b in zip(edges, edges[1:]):
+        pts = [p for p in knots if a < p < b]
+        if math.isinf(b):
+            # no truncation radius is available; the quotient is safe here
+            # because a > x holds on any unbounded piece with cuts before it,
+            # and the anchored case falls back to the endpoint substitution
+            val += adaptive_quad(lambda s: g(s) / math.sqrt(s - x), a, b,
+                                 abs_tol=abs_tol / n, singular_left=True,
+                                 points=pts or None, label=label)
+            continue
+        pts += _decade_marks(a, b)
+        val += _sine_mapped_piece(g, x, a, b, sorted(set(pts)), abs_tol / n, label)
+    return val
+
+
 # ---------------------------------------------------------------------------
-# the lazy kernel density
+# the lazy kernel densities
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class TransformedDensity(Density):
-    """Radial density produced by one of the transform kernels, evaluated by
-    quadrature on demand and memoized per point."""
+    """Radial density produced by a transform kernel from a source radial
+    component, evaluated by quadrature on demand and memoized per point.
 
-    kernel: str
+    The half-integral kernel and the scale-mixture kernel below subclass it
+    and supply _sup, _compute_depth, _evaluate and _compute_exponent along
+    with the Density metadata. name labels provenance and error messages.
+    """
+
     source: RadialComponent
-    dilation: DilationMeasure | None = None
-    abs_tol: float = INNER_ABS_TOL
-    label: str = ""
+    name: str
 
     def __post_init__(self):
-        if self.kernel not in ("a1", "a2", "frac_half", "upsilon"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if self.kernel == "upsilon" and self.dilation is None:
-            raise ValueError("upsilon kernel needs a dilation measure")
-        sup = _rc_sup(self.source)
-        if self.kernel == "a1":
-            hi = math.sqrt(sup)
-        elif self.kernel == "upsilon":
-            hi = sup * _rc_sup(self.dilation)
-        else:
-            hi = sup
-        object.__setattr__(self, "support", (0.0, hi))
+        object.__setattr__(self, "support", (0.0, self._sup()))
         object.__setattr__(self, "depth", self._compute_depth())
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_cache", {})
-
-    def _compute_depth(self) -> int:
-        src = self.source
-        if self.kernel != "upsilon":
-            return src.kernel_depth() + (1 if src.density is not None else 0)
-        tau = self.dilation
-        d = 0
-        if src.atoms and tau.density is not None:
-            d = max(d, tau.density.depth)
-        if src.density is not None and tau.atoms:
-            d = max(d, src.density.depth)
-        if src.density is not None and tau.density is not None:
-            d = max(d, max(src.density.depth, tau.density.depth) + 1)
-        return d
-
-    # -- evaluation ---------------------------------------------------------
 
     def value(self, r: float) -> float:
         if not math.isfinite(r) or r <= self.support[0] or r > self.support[1] or r <= 0.0:
@@ -224,42 +241,141 @@ class TransformedDensity(Density):
                 memo[r] = got
         return got
 
-    def _evaluate(self, r: float) -> float:
-        if self.kernel == "a1":
-            return TWO_OVER_PI * _half_integral(self.source, r * r, self.abs_tol)
-        if self.kernel == "frac_half":
-            return INV_SQRT_PI * _half_integral(self.source, r, self.abs_tol)
-        if self.kernel == "a2":
-            return self._eval_a2(r)
-        return self._eval_upsilon(r)
+    def exponent_at_zero(self) -> float:
+        cache = self._cache
+        if "exp0" not in cache:
+            cache["exp0"] = self._compute_exponent()
+        return cache["exp0"]
 
-    def _eval_a2(self, r: float) -> float:
+    def singular_at_low(self) -> bool:
+        return self.exponent_at_zero() < 0.0
+
+    def table_radius(self) -> float:
+        lo, hi = self.support
+        if math.isfinite(hi):
+            return hi
+        try:
+            return self.weighted_tail_radius(1e-13, 0.0)
+        except NotImplementedError:
+            pass
+        cache = self._cache
+        if "table_r" not in cache:
+            r = 1.0
+            try:
+                r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
+            except NotImplementedError:
+                pass
+            while r < 1e9 and max(self.value(r), self.value(0.7 * r)) * r > 1e-13:
+                r *= 2.0
+            cache["table_r"] = r
+        return cache["table_r"]
+
+    def provenance_name(self) -> str:
+        parts = []
+        if self.source.atoms:
+            parts.append("atoms")
+        if self.source.density is not None:
+            parts.append(self.source.density.provenance_name())
+        return f"{self.name}({'+'.join(parts)})"
+
+
+@dataclass(frozen=True, eq=False)
+class _HalfIntegralKernel(TransformedDensity):
+    """out(r) = const * int_(x,oo) (s - x)^(-1/2) src(ds) read at x = r**power:
+    a1 is power 2 with const 2/pi, frac_half power 1 with const pi^(-1/2)."""
+
+    power: float
+    const: float
+
+    def _sup(self) -> float:
+        return self.source.sup_support ** (1.0 / self.power)
+
+    def _compute_depth(self) -> int:
+        src = self.source
+        return src.kernel_depth() + (1 if src.density is not None else 0)
+
+    def _evaluate(self, r: float) -> float:
+        x = r ** self.power
         total = 0.0
         for loc, mass in self.source.atoms:
-            if loc > r:
-                total += mass / math.sqrt((loc - r) * (loc + r))
-        dens = self.source.density
-        if dens is not None:
-            lo = max(r, dens.support[0])
-            hi = dens.support[1]
-            if math.isinf(hi) and dens.tail_all_moments():
+            if loc > x:
+                total += mass / math.sqrt(loc - x)
+        f = self.source.density
+        if f is not None:
+            lo, hi = f.support
+            if math.isinf(hi) and f.tail_all_moments():
                 try:
-                    # beyond max(2r, R): (s^2 - r^2)^(-1/2) <= (2/sqrt(3)) s^(-1)
-                    hi = max(2.0 * r, dens.weighted_tail_radius(self.abs_tol * math.sqrt(3.0) / 2.0, -1.0))
-                    hi = max(hi, lo * (1.0 + 1e-12))
+                    # beyond max(2x, R): (s - x)^(-1/2) <= sqrt(2) s^(-1/2)
+                    hi = max(2.0 * x, f.weighted_tail_radius(INNER_ABS_TOL / math.sqrt(2.0), -0.5))
                 except NotImplementedError:
-                    hi = math.inf
-            if hi > lo:
-                sing_lo = lo == r
-                sing_hi = (dens.singular_at_high() and math.isfinite(dens.support[1])
-                           and hi >= dens.support[1])
-                total += adaptive_quad(
-                    lambda s: dens.value(s) / math.sqrt((s - r) * (s + r)),
-                    lo, hi, abs_tol=self.abs_tol, singular_left=sing_lo,
-                    singular_right=sing_hi, label="a2 kernel")
-        return TWO_OVER_PI * total
+                    pass
+            knots = f.xs if isinstance(f, TableDensity) else ()
+            total += _abel_integral(f.value, x, lo, hi, f.interior_singular_radii(), knots,
+                                    INNER_ABS_TOL, f"{self.name} kernel at r={r!r}")
+        return self.const * total
 
-    def _eval_upsilon(self, r: float) -> float:
+    def _compute_exponent(self) -> float:
+        src = self.source
+        exps = [0.0] if src.atoms else []
+        f = src.density
+        if f is not None:
+            a = f.exponent_at_zero()
+            exps.append(0.0 if f.support[0] > 0.0 or a >= -0.5 else self.power * (a + 0.5))
+        return min(exps, default=0.0)
+
+    def singular_at_high(self) -> bool:
+        return self.source.atom_at_sup() and math.isfinite(self.support[1])
+
+    def interior_singular_radii(self) -> tuple[float, ...]:
+        """Each source atom leaves an inverse-square-root blowup in the image;
+        all but the one at the supremum sit strictly inside the support.
+        Densities in the source never do: smearing an atom-free or even an
+        integrably singular density through the kernel keeps the image
+        locally bounded away from the atom images."""
+        hi = self.support[1]
+        radii = {loc ** (1.0 / self.power) for loc, _ in self.source.atoms}
+        return tuple(sorted(r for r in radii if 0.0 < r < hi))
+
+    def tail_all_moments(self) -> bool:
+        dens = self.source.density
+        return math.isfinite(self.support[1]) or dens is None or dens.tail_all_moments()
+
+    def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
+        lo, hi = self.support
+        if math.isfinite(hi):
+            return hi
+        # with q = (moment + 1)/power, the image tail beyond R is at most
+        # (const/power) B(q, 1/2) times the source tail beyond R**power at
+        # moment q - 1/2; over moments >= 0 the Beta factor is largest at 0
+        q0 = 1.0 / self.power
+        c = self.const * q0 * math.gamma(q0) * math.sqrt(math.pi) / math.gamma(q0 + 0.5)
+        q = (moment + 1.0) * q0
+        return _rc_tail_radius(self.source, tol / c, q - 0.5) ** q0
+
+
+@dataclass(frozen=True, eq=False)
+class _ScaleMixtureKernel(TransformedDensity):
+    """Image of source x dilation under (s, u) -> s*u; density part
+    out(r) = int u^(-1) src_dens(r/u) tau(du), atom cross terms in closed
+    form."""
+
+    dilation: DilationMeasure
+
+    def _sup(self) -> float:
+        return self.source.sup_support * self.dilation.sup_support
+
+    def _compute_depth(self) -> int:
+        src, tau = self.source, self.dilation
+        d = 0
+        if src.atoms and tau.density is not None:
+            d = max(d, tau.density.depth)
+        if src.density is not None and tau.atoms:
+            d = max(d, src.density.depth)
+        if src.density is not None and tau.density is not None:
+            d = max(d, max(src.density.depth, tau.density.depth) + 1)
+        return d
+
+    def _evaluate(self, r: float) -> float:
         src, tau = self.source, self.dilation
         total = 0.0
         tau_dens = tau.density
@@ -287,15 +403,17 @@ class TransformedDensity(Density):
         sing_hi = ((t.singular_at_high() and math.isfinite(t_hi) and hi_u >= t_hi)
                    or (f_lo > 0.0 and f.singular_at_low() and math.isfinite(hi_u)
                        and hi_u >= (r / f_lo) * (1 - 1e-12)))
+        # a table kinks at each knot x_k, which this integral meets at u = r/x_k
+        points = [r / xk for xk in f.xs] if isinstance(f, TableDensity) else None
 
         def integrand(u: float) -> float:
             if u <= 0.0:
                 return 0.0
             return f.value(r / u) * t.value(u) / u
 
-        return adaptive_quad(integrand, lo_u, hi_u, abs_tol=self.abs_tol,
+        return adaptive_quad(integrand, lo_u, hi_u, abs_tol=INNER_ABS_TOL,
                              singular_left=sing_lo, singular_right=sing_hi,
-                             label="upsilon kernel")
+                             points=points, label=f"{self.name} kernel at r={r!r}")
 
     def _upsilon_u_cut(self, r: float, f: Density, t: Density, hi_u: float) -> float:
         """Truncation point for the u-integral when the dilation has unbounded
@@ -305,37 +423,14 @@ class TransformedDensity(Density):
             return hi_u
         c_f, a_f = _zero_bound(f)
         try:
-            cut = t.weighted_tail_radius(self.abs_tol / max(c_f * r ** a_f, 1e-300), -a_f - 1.0)
+            cut = t.weighted_tail_radius(INNER_ABS_TOL / max(c_f * r ** a_f, 1e-300), -a_f - 1.0)
         except NotImplementedError:
             return hi_u
         return max(cut, 1.0)
 
-    # -- metadata -----------------------------------------------------------
-
-    def exponent_at_zero(self) -> float:
-        cache = self._cache
-        if "exp0" not in cache:
-            cache["exp0"] = self._compute_exponent()
-        return cache["exp0"]
-
     def _compute_exponent(self) -> float:
+        # each cross term contributes, output behaves like the worst
         src = self.source
-        if self.kernel in ("a1", "a2", "frac_half"):
-            exps = []
-            if src.atoms:
-                exps.append(0.0)
-            if src.density is not None:
-                a = src.density.exponent_at_zero()
-                if src.density.support[0] > 0.0:
-                    exps.append(0.0)
-                elif self.kernel == "a1":
-                    exps.append(0.0 if a >= -0.5 else 2.0 * a + 1.0)
-                elif self.kernel == "frac_half":
-                    exps.append(0.0 if a >= -0.5 else a + 0.5)
-                else:  # a2
-                    exps.append(0.0 if a >= 0.0 else a)
-            return min(exps) if exps else 0.0
-        # upsilon: each cross term contributes, output behaves like the worst
         src_exp = None
         if src.density is not None:
             d = src.density
@@ -354,46 +449,29 @@ class TransformedDensity(Density):
             exps.append(min(src_exp, tau_exp))
         return min(exps) if exps else 0.0
 
-    def singular_at_low(self) -> bool:
-        return self.exponent_at_zero() < 0.0
-
-    def singular_at_high(self) -> bool:
-        if self.kernel == "upsilon":
-            return False
-        return self.source.atom_at_sup() and math.isfinite(self.support[1])
-
     def interior_singular_radii(self) -> tuple[float, ...]:
-        """Each source atom leaves an inverse-square-root blowup in the image;
-        all but the one at the supremum sit strictly inside the support.
-        Densities in the source never do: smearing an atom-free or even an
-        integrably singular density through any of these kernels keeps the
-        image locally bounded away from the atom images."""
+        """A source atom crossed with a dilation density that blows up at its
+        finite supremum, and a source density blowup crossed with a dilation
+        atom, leave blowups in the image."""
         hi = self.support[1]
-        if self.kernel == "a1":
-            radii = [math.sqrt(loc) for loc, _ in self.source.atoms]
-        elif self.kernel in ("a2", "frac_half"):
-            radii = [loc for loc, _ in self.source.atoms]
-        else:
-            radii = []
-            tau = self.dilation
-            t_hi = _rc_sup(tau)
-            if (tau.density is not None and tau.density.singular_at_high()
-                    and math.isfinite(t_hi)):
-                radii += [loc * t_hi for loc, _ in self.source.atoms]
-            f = self.source.density
-            if f is not None and tau.atoms:
-                scaled = list(f.interior_singular_radii())
-                if f.singular_at_high() and math.isfinite(f.support[1]):
-                    scaled.append(f.support[1])
-                radii += [u0 * rho for u0, _ in tau.atoms for rho in scaled]
+        radii = []
+        tau = self.dilation
+        t_hi = tau.sup_support
+        if (tau.density is not None and tau.density.singular_at_high()
+                and math.isfinite(t_hi)):
+            radii += [loc * t_hi for loc, _ in self.source.atoms]
+        f = self.source.density
+        if f is not None and tau.atoms:
+            scaled = list(f.interior_singular_radii())
+            if f.singular_at_high() and math.isfinite(f.support[1]):
+                scaled.append(f.support[1])
+            radii += [u0 * rho for u0, _ in tau.atoms for rho in scaled]
         return tuple(sorted(r for r in set(radii) if 0.0 < r < hi))
 
     def tail_all_moments(self) -> bool:
         if math.isfinite(self.support[1]):
             return True
         src_ok = self.source.density is None or self.source.density.tail_all_moments()
-        if self.kernel != "upsilon":
-            return src_ok
         tau_ok = self.dilation.density is None or self.dilation.density.tail_all_moments()
         return src_ok and tau_ok
 
@@ -401,55 +479,16 @@ class TransformedDensity(Density):
         lo, hi = self.support
         if math.isfinite(hi):
             return hi
-        k = moment
-        if self.kernel == "a1":
-            # tail_out(R) <= weighted source tail beyond R^2 at moment k/2
-            return math.sqrt(_rc_tail_radius(self.source, tol, k / 2.0))
-        if self.kernel == "a2":
-            return _rc_tail_radius(self.source, tol, k)
-        if self.kernel == "frac_half":
-            # tail_out(R) <= (2/sqrt(pi)) * weighted source tail, moment k + 1/2
-            return _rc_tail_radius(self.source, tol * math.sqrt(math.pi) / 2.0, k + 0.5)
         tau = self.dilation
-        tau_hi = _rc_sup(tau)
+        tau_hi = tau.sup_support
         if math.isfinite(tau_hi):
             cache = self._cache
             key = ("tau_mass",)
             if key not in cache:
                 cache[key] = _rc_moment(tau, 0.0)
-            scale = cache[key] * tau_hi ** k
-            return tau_hi * _rc_tail_radius(self.source, tol / max(scale, 1e-300), k)
+            scale = cache[key] * tau_hi ** moment
+            return tau_hi * _rc_tail_radius(self.source, tol / max(scale, 1e-300), moment)
         raise NotImplementedError("no certified tail envelope for this dilation")
-
-    def table_radius(self) -> float:
-        lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
-        try:
-            return self.weighted_tail_radius(1e-13, 0.0)
-        except NotImplementedError:
-            pass
-        cache = self._cache
-        if "table_r" not in cache:
-            r = 1.0
-            try:
-                r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
-            except NotImplementedError:
-                pass
-            while r < 1e9 and max(self.value(r), self.value(0.7 * r)) * r > 1e-13:
-                r *= 2.0
-            cache["table_r"] = r
-        return cache["table_r"]
-
-    def provenance_name(self) -> str:
-        if self.label:
-            return self.label
-        parts = []
-        if self.source.atoms:
-            parts.append("atoms")
-        if self.source.density is not None:
-            parts.append(self.source.density.provenance_name())
-        return f"{self.kernel}({'+'.join(parts)})"
 
 
 def _maybe_tabulated(dens: TransformedDensity) -> Density:
@@ -470,18 +509,16 @@ def _require(m: PolarMeasure, level: str, op: str) -> None:
                           f"{report.failures()}")
 
 
-def _kernel_component(kernel: str, rc: RadialComponent,
-                      tau: DilationMeasure | None = None,
-                      label: str = "") -> RadialComponent:
-    dens = TransformedDensity(kernel, rc, tau, label=label)
-    return RadialComponent((), _maybe_tabulated(dens), rc.weight)
+def _kernel_component(dens: TransformedDensity) -> RadialComponent:
+    return RadialComponent((), _maybe_tabulated(dens), dens.source.weight)
 
 
 def arcsine1(m: PolarMeasure) -> PolarMeasure:
     """First arcsine transform. Needs the radial first-moment condition near
     zero (levy_l1); the output is again a valid polar measure, atom-free."""
     _require(m, "levy_l1", "arcsine1")
-    return m.map_components(lambda rc: _kernel_component("a1", rc))
+    return m.map_components(
+        lambda rc: _kernel_component(_HalfIntegralKernel(rc, "a1", 2.0, TWO_OVER_PI)))
 
 
 def arcsine2(m: PolarMeasure) -> PolarMeasure:
@@ -489,14 +526,15 @@ def arcsine2(m: PolarMeasure) -> PolarMeasure:
     arcsine dilation on (0, 1). Valid on any measure passing the levy check."""
     _require(m, "levy", "arcsine2")
     tau = arcsine_dilation()
-    return m.map_components(lambda rc: _kernel_component("upsilon", rc, tau, label="a2"))
+    return m.map_components(lambda rc: _kernel_component(_ScaleMixtureKernel(rc, "a2", tau)))
 
 
 def arcsine2_direct(m: PolarMeasure) -> PolarMeasure:
-    """Second arcsine transform through its defining kernel; cross-check route
-    for arcsine2()."""
+    """Second arcsine transform as the first one after the source radius is
+    squared, on the half-integral kernel; cross-check route for arcsine2(),
+    which takes the scale mixture."""
     _require(m, "levy", "arcsine2")
-    return m.map_components(lambda rc: _kernel_component("a2", rc))
+    return arcsine1(power_reparam(m, 2.0))
 
 
 def upsilon_tau(m: PolarMeasure, tau: DilationMeasure) -> PolarMeasure:
@@ -520,7 +558,7 @@ def upsilon_tau(m: PolarMeasure, tau: DilationMeasure) -> PolarMeasure:
                          or (rc.density is not None and (tau.atoms or tau.density is not None)))
         dens = None
         if needs_density:
-            dens = _maybe_tabulated(TransformedDensity("upsilon", rc, tau))
+            dens = _maybe_tabulated(_ScaleMixtureKernel(rc, "upsilon", tau))
         return RadialComponent(atoms, dens, rc.weight)
 
     out = m.map_components(mapper)
@@ -549,7 +587,7 @@ def frac_half(rc: RadialComponent) -> RadialComponent:
     """
     if not isinstance(rc, RadialComponent):
         raise DomainError(f"frac_half expects a radial component, got {type(rc)!r}")
-    return _kernel_component("frac_half", rc)
+    return _kernel_component(_HalfIntegralKernel(rc, "frac_half", 1.0, INV_SQRT_PI))
 
 
 # ---------------------------------------------------------------------------
@@ -644,88 +682,19 @@ def _inversion_grid(dens: Density, grid: tuple[float, float, int] | None) -> lis
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
 
-def _sine_mapped_piece(dens: Density, u: float, a: float, b: float,
-                       pts: list[float], abs_tol: float) -> float:
-    """Integral of dens(sqrt(s)) / sqrt(s - u) over (a, b) with u <= a < b,
-    via s = a + (b - a) sin^2(theta). The jacobian absorbs inverse square
-    root blowups at both edges, including the s = u anchor when a == u, so
-    the integrand never divides by a difference that can underflow."""
-    span = b - a
-    root_span = math.sqrt(span)
-    anchored = (a == u)
-
-    def integrand(theta: float) -> float:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        s = a + span * st * st
-        v = dens.value(math.sqrt(s))
-        if anchored:
-            return 2.0 * root_span * ct * v
-        return 2.0 * span * st * ct * v / math.sqrt(s - u)
-
-    mapped = None
-    if pts:
-        mapped = [math.asin(min(1.0, math.sqrt((p - a) / span))) for p in pts]
-    return adaptive_quad(integrand, 0.0, 0.5 * math.pi, abs_tol=abs_tol,
-                         points=mapped, label="inversion tail")
-
-
 def _preimage_tail(dens: Density, u: float, abs_tol: float) -> float:
-    hi = dens.support[1]
-    s_hi = math.inf if math.isinf(hi) else hi * hi
+    lo, hi = dens.support
+    s_hi = hi * hi
     if math.isinf(s_hi) and dens.tail_all_moments():
         try:
             r_cut = dens.weighted_tail_radius(abs_tol, 0.0)
             s_hi = max(2.0 * u, r_cut * r_cut)
         except NotImplementedError:
-            s_hi = math.inf
-    if s_hi <= u:
-        return 0.0
-    # the integrand blows up (integrably) wherever the density does; split
-    # there so every blowup sits at a piece edge, where the sine
-    # substitution absorbs it
-    raw = sorted({rho * rho for rho in dens.interior_singular_radii()
-                  if u < rho * rho < s_hi})
-    cuts: list[float] = []
-    for c in raw:
-        if c - u <= 1e-12 * c:
-            # u sits at this blowup to machine resolution; the density is
-            # unresolvable on the sliver, so read the tail right
-            # continuously from above
-            continue
-        if math.isfinite(s_hi) and s_hi - c <= 1e-12 * s_hi:
-            continue
-        if cuts and c - cuts[-1] <= 1e-12 * c:
-            continue
-        cuts.append(c)
-    # tabulated images are piecewise linear in the radius, so the integrand
-    # kinks at every squared knot; hand those to the quadrature as break points
-    knot_pts: list[float] = []
-    if isinstance(dens, TableDensity):
-        knot_pts = [x * x for x in dens.xs if u < x * x < s_hi]
-    edges = [u] + cuts + [s_hi]
-    n = len(edges) - 1
-    val = 0.0
-    for i in range(n):
-        a, b = edges[i], edges[i + 1]
-        pts = [p for p in knot_pts if a < p < b]
-        if math.isinf(b):
-            # no truncation radius is available; the quotient is safe here
-            # because a > u holds on any unbounded piece with cuts before it,
-            # and the anchored case falls back to the endpoint substitution
-            val += adaptive_quad(
-                lambda s: dens.value(math.sqrt(s)) / math.sqrt(s - u),
-                a, b, abs_tol=abs_tol / n,
-                singular_left=True, points=pts or None,
-                label="inversion tail")
-            continue
-        floor = max(a, b * 1e-12)
-        if b > 1e4 * floor:
-            # wide pieces hide small-scale structure from the initial rule;
-            # decade marks force a look at every scale
-            x = floor * 10.0
-            while x < b * 0.999:
-                pts.append(x)
-                x *= 10.0
-        val += _sine_mapped_piece(dens, u, a, b, sorted(set(pts)), abs_tol / n)
-    return 0.5 * val
+            pass
+    # the integrand blows up (integrably) wherever the density does, and a
+    # tabulated image is piecewise linear in the radius, so the integrand
+    # kinks at every squared knot
+    blowups = [rho * rho for rho in dens.interior_singular_radii()]
+    knots = [x * x for x in dens.xs] if isinstance(dens, TableDensity) else ()
+    return 0.5 * _abel_integral(lambda s: dens.value(math.sqrt(s)), u, lo * lo, s_hi,
+                                blowups, knots, abs_tol, f"inversion tail at u={u!r}")

@@ -9,8 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import levyarc as la
-from levyarc.errors import DomainError, NotInRange
-from levyarc.measures import integrate, power_reparam, validate
+from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
+from levyarc.measures import Density, integrate, power_reparam, validate
+from levyarc.transforms import _HalfIntegralKernel, _ScaleMixtureKernel
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -82,6 +83,10 @@ def test_a2_equals_a1_after_squaring(delta1, ex2_measure):
 def test_a2_routes_agree(delta1):
     mixture = _density(la.arcsine2(delta1))
     direct = _density(la.arcsine2_direct(delta1))
+    # the two routes must stay separate computations, or every check that
+    # compares them becomes a tautology
+    assert isinstance(direct, _HalfIntegralKernel)
+    assert isinstance(mixture, _ScaleMixtureKernel)
     for r in (0.1, 0.4, 0.8, 0.99):
         assert mixture.value(r) == pytest.approx(direct.value(r), rel=1e-9)
 
@@ -179,6 +184,54 @@ def test_half_integral_of_point_mass():
     for r in (0.5, 1.0, 1.9):
         assert d.value(r) == pytest.approx(1.0 / (SQRT_PI * math.sqrt(2.0 - r)), rel=1e-12)
     assert d.value(2.3) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# kernels on tabulated sources and their failure reports
+# ---------------------------------------------------------------------------
+
+def _image(kernel, dens):
+    if kernel == "frac_half":
+        return la.frac_half(la.RadialComponent(density=dens)).density
+    return _density(getattr(la, kernel)(la.half_line_measure(density=dens)))
+
+
+@pytest.mark.parametrize("kernel", ["arcsine1", "frac_half", "arcsine2",
+                                    "arcsine2_direct", "upsilon0"])
+def test_kernels_on_tabulated_source(kernel):
+    # a table is what the CLI writes; its knots are kinks the quadrature has
+    # to be told about, and the image must track the exact source's image
+    exact = la.ex2_input_density()
+    table = la.tabulate_density(exact, per_decade=64)
+    got, want = _image(kernel, table), _image(kernel, exact)
+    for r in (0.1, 0.5, 1.0, 3.0):
+        v = got.value(r)
+        assert math.isfinite(v)
+        assert v == pytest.approx(want.value(r), rel=2e-3)
+
+
+class _SquareWave(Density):
+    """Unit square wave of period 1e-6 on (0, 2): far too fine for a few
+    hundred adaptive subintervals to integrate to 1e-12."""
+
+    support = (0.0, 2.0)
+
+    def value(self, r):
+        return 1.0 if 0.0 < r < 2.0 and int(r / 5e-7) % 2 == 0 else 0.0
+
+
+@pytest.mark.parametrize("kernel, where", [
+    ("arcsine1", "a1 kernel at r=0.5"),
+    ("frac_half", "frac_half kernel at r=0.5"),
+    ("upsilon0", "upsilon kernel at r=0.5"),
+    ("invert", "inversion tail at u=0.25"),
+])
+def test_nonconvergence_names_kernel_and_point(kernel, where):
+    with pytest.raises(QuadratureNonConvergence, match=where):
+        if kernel == "invert":
+            la.invert_arcsine1(la.half_line_measure(density=_SquareWave()), grid=(0.25, 1.0, 2))
+        else:
+            _image(kernel, _SquareWave()).value(0.5)
 
 
 # ---------------------------------------------------------------------------
