@@ -101,10 +101,15 @@ def is_completely_monotone(g: Callable[[float], float],
     if order < 3:
         raise ValueError(f"order must be at least 3, got {order}")
     xs = np.asarray(list(grid) if grid is not None else default_grid(), float)
+    return _cm_screen(xs, np.array([float(g(x)) for x in xs]), order, feval_rel)
+
+
+def _cm_screen(xs: np.ndarray, fs: np.ndarray, order: int,
+               feval_rel: float = FEVAL_REL) -> MembershipReport:
+    """is_completely_monotone() on values fs already taken at the grid xs."""
     if xs.size < order + 1:
         return MembershipReport("inconclusive", None, order,
                                 ("grid shorter than order + 1 points",))
-    fs = np.array([float(g(x)) for x in xs])
     if not np.all(np.isfinite(fs)):
         bad = int(np.argmax(~np.isfinite(fs)))
         return MembershipReport("inconclusive", (0, float(xs[bad])), order,
@@ -160,7 +165,7 @@ def is_jurek(m: PolarMeasure) -> MembershipReport:
             reports.append(MembershipReport("inconclusive", None, None,
                                             (f"component {idx}: empty grid",)))
             continue
-        vals = [rc.density.value(x) for x in xs]
+        vals = rc.density.values(np.asarray(xs)).tolist()
         rep = MembershipReport("member")
         for i in range(1, len(xs)):
             scale = max(abs(vals[i - 1]), abs(vals[i]), 1e-300)
@@ -194,7 +199,7 @@ def class_a_necessary(m: PolarMeasure) -> MembershipReport:
             reports.append(MembershipReport("inconclusive", None, None,
                                             (f"component {idx}: empty grid",)))
             continue
-        vals = np.array([rc.density.value(x) for x in xs])
+        vals = rc.density.values(xs)
         peak = float(np.max(vals))
         if peak <= 0.0:
             reports.append(MembershipReport("non_member", (idx, float(xs[0])), None,
@@ -237,9 +242,8 @@ def is_type_g(m: PolarMeasure) -> MembershipReport:
             continue
         if rc.density is None:
             continue
-        dens = rc.density
-        reports.append(is_completely_monotone(lambda u: dens.value(math.sqrt(u)),
-                                              _cm_grid(dens, squared=True)))
+        us = np.asarray(_cm_grid(rc.density, squared=True))
+        reports.append(_cm_screen(us, rc.density.values(np.sqrt(us)), DEFAULT_ORDER))
     return _combine(reports, DEFAULT_ORDER)
 
 
@@ -254,8 +258,8 @@ def is_class_b(m: PolarMeasure) -> MembershipReport:
             continue
         if rc.density is None:
             continue
-        dens = rc.density
-        reports.append(is_completely_monotone(dens.value, _cm_grid(dens)))
+        xs = np.asarray(_cm_grid(rc.density))
+        reports.append(_cm_screen(xs, rc.density.values(xs), DEFAULT_ORDER))
     return _combine(reports, DEFAULT_ORDER)
 
 

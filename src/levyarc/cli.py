@@ -116,8 +116,7 @@ def _tabulate_measure(m: PolarMeasure, grid) -> PolarMeasure:
         if grid is not None:
             lo, hi, n = grid
             xs = np.geomspace(lo, hi, n)
-            table = TableDensity(tuple(float(x) for x in xs),
-                                 tuple(dens.value(float(x)) for x in xs),
+            table = TableDensity(tuple(xs.tolist()), tuple(dens.values(xs).tolist()),
                                  provenance=dens.provenance_name())
         elif isinstance(dens, TableDensity):
             table = dens

@@ -38,7 +38,7 @@ from scipy.special import erfc, erfcinv
 
 from .errors import GridMismatch, MalformedMeasure
 from .measures import (ExpPowerDensity, PolarMeasure, RadialComponent,
-                       from_json, integrate, to_json, validate)
+                       from_json, integrate, integrate_batch, to_json, validate)
 from .transforms import (DilationMeasure, arcsine_dilation, exp_dilation,
                          power_exp_dilation, upsilon_tau)
 
@@ -184,25 +184,34 @@ class Triplet:
 # characteristic functions
 # ---------------------------------------------------------------------------
 
-def char_exponent(t: Triplet, z: Sequence[float], *, abs_tol: float = 1e-10) -> complex:
+def char_exponent(t: Triplet, z: Sequence[float] | np.ndarray, *,
+                  abs_tol: float = 1e-10) -> complex | np.ndarray:
     """log of the characteristic function at z:
     -(1/2)<Sigma z, z> + i<gamma, z>
     + sum_xi w_xi int (e^{i r s} - 1 - i r s/(1+r^2)) nu_xi(dr),  s = <xi, z>.
+
+    z is one point (length d) or an (n, d) array of points; the radial
+    integrals of all points are solved as one batch per direction, and the
+    result is a complex number or an array of n of them.
     """
-    zv = np.atleast_1d(np.asarray(z, float))
-    if zv.shape != (t.d,):
-        raise ValueError(f"z must have length {t.d}, got shape {zv.shape}")
-    val = complex(-0.5 * float(zv @ t.Sigma @ zv), float(t.gamma @ zv))
+    zv = np.asarray(z, float)
+    single = zv.ndim <= 1
+    zs = np.atleast_2d(np.atleast_1d(zv))
+    if zs.ndim != 2 or zs.shape[1] != t.d:
+        want = f"length {t.d}" if single else f"shape (n, {t.d})"
+        raise ValueError(f"z must have {want}, got shape {zv.shape}")
+    val = (-0.5 * np.einsum("ni,ij,nj->n", zs, t.Sigma, zs)) + 1j * (zs @ t.gamma)
+    n = zs.shape[0]
     for dirn, rc in t.nu.components:
-        s = float(dirn.array @ zv)
-        if s == 0.0:
+        s = zs @ dirn.array
+        if not s.any():
             continue
-        re = integrate(rc, lambda r: math.cos(r * s) - 1.0, (0.0, math.inf),
-                       abs_tol=abs_tol, g_moment=0.0)
-        im = integrate(rc, lambda r: math.sin(r * s) - r * s / (1.0 + r * r),
-                       (0.0, math.inf), abs_tol=abs_tol, g_moment=0.0)
-        val += rc.weight * complex(re, im)
-    return val
+        re = integrate_batch(rc, lambda r, k: np.cos(r * s[k]) - 1.0, n, (0.0, math.inf),
+                             abs_tol=abs_tol, g_moment=0.0)
+        im = integrate_batch(rc, lambda r, k: np.sin(r * s[k]) - r * s[k] / (1.0 + r * r), n,
+                             (0.0, math.inf), abs_tol=abs_tol, g_moment=0.0)
+        val = val + rc.weight * (re + 1j * im)
+    return complex(val[0]) if single else val
 
 
 def char_fn(t: Triplet, z: Sequence[float], *, abs_tol: float = 1e-10) -> complex:
@@ -233,25 +242,26 @@ class CharFnGrid:
 def char_fn_grid(t: Triplet, zs: Sequence[Sequence[float]], *,
                  abs_tol: float = 1e-10) -> CharFnGrid:
     pts = tuple(tuple(float(x) for x in np.atleast_1d(z)) for z in zs)
-    vals = tuple(char_fn(t, z, abs_tol=abs_tol) for z in pts)
-    return CharFnGrid(pts, vals)
+    if not pts:
+        return CharFnGrid((), ())
+    vals = np.exp(char_exponent(t, np.array(pts), abs_tol=abs_tol))
+    return CharFnGrid(pts, tuple(complex(v) for v in vals))
 
 
 # ---------------------------------------------------------------------------
 # the triplet transform
 # ---------------------------------------------------------------------------
 
-def _centering_shift(rc, u: float, abs_tol: float) -> float:
-    """int r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ] against one radial measure."""
-    if u == 1.0:
-        return 0.0
-    uu = u * u
+def _centering_shift(rc, us: np.ndarray, abs_tol: float) -> np.ndarray:
+    """int r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ] against one radial measure,
+    for every u of an array, as one batch (exactly 0 at u = 1)."""
+    uu = us * us
 
-    def g(r: float) -> float:
+    def g(r: np.ndarray, k: np.ndarray) -> np.ndarray:
         rr = r * r
-        return r * (1.0 / (1.0 + uu * rr) - 1.0 / (1.0 + rr))
+        return r * (1.0 / (1.0 + uu[k] * rr) - 1.0 / (1.0 + rr))
 
-    return integrate(rc, g, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
+    return integrate_batch(rc, g, us.size, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
 
 
 def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:

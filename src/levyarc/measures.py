@@ -34,8 +34,8 @@ from scipy.spatial import cKDTree
 from scipy.special import gammaincc
 
 from .errors import MalformedMeasure
-from .quadrature import (DEFAULT_ABS_TOL, _decade_marks, adaptive_quad,
-                         exp_tail_radius, geometric_grid)
+from .quadrature import (DEFAULT_ABS_TOL, _decade_marks, exp_tail_radius,
+                         geometric_grid, quad_batch)
 
 DIRECTION_TOL = 1e-12
 TABLE_POINTS_PER_DECADE = 512
@@ -58,6 +58,13 @@ class Density:
 
     def value(self, r: float) -> float:
         raise NotImplementedError
+
+    def values(self, rs) -> np.ndarray:
+        """The density at every radius of an array, as an array of the same
+        shape. The families below evaluate natively; this default loops
+        over value() so that a user-defined density needs only value()."""
+        r = np.asarray(rs, float)
+        return np.array([self.value(float(x)) for x in r.ravel()], float).reshape(r.shape)
 
     def __call__(self, r: float) -> float:
         return self.value(r)
@@ -150,6 +157,18 @@ class ExpPowerDensity(Density):
             return math.inf
         return math.exp(logv)
 
+    def values(self, rs) -> np.ndarray:
+        r = np.asarray(rs, float)
+        lo, hi = self.support
+        inside = (r > lo) & (r <= hi) & (r > 0.0) & np.isfinite(r)
+        out = np.zeros(r.shape)
+        lr = np.log(r[inside])
+        logv = math.log(self.c) + self.a * lr
+        if self.b > 0.0:
+            logv -= self.b * np.exp(np.minimum(self.p * lr, 700.0))
+        out[inside] = np.where(logv > 709.0, math.inf, np.exp(np.minimum(logv, 709.0)))
+        return out
+
     def exponent_at_zero(self) -> float:
         return self.a
 
@@ -230,6 +249,11 @@ class TableDensity(Density):
             return 0.0
         return float(np.interp(r, ax, ay))
 
+    def values(self, rs) -> np.ndarray:
+        ax, ay = self._arrays
+        r = np.asarray(rs, float)
+        return np.where((r < ax[0]) | (r > ax[-1]), 0.0, np.interp(r, ax, ay))
+
     def mass(self, lo: float = 0.0, hi: float = math.inf) -> float:
         """Exact integral of the piecewise-linear function over [lo, hi]."""
         ax, ay = self._arrays
@@ -283,6 +307,18 @@ class PowerImageDensity(Density):
             return self.base.value(r) / (2.0 * r)
         return self.base.value(s * s) * 2.0 * s
 
+    def values(self, ss) -> np.ndarray:
+        s = np.asarray(ss, float)
+        out = np.zeros(s.shape)
+        pos = (s > 0.0) & np.isfinite(s)
+        sp = s[pos]
+        if self.exponent == 2.0:
+            r = np.sqrt(sp)
+            out[pos] = self.base.values(r) / (2.0 * r)
+        else:
+            out[pos] = self.base.values(sp * sp) * 2.0 * sp
+        return out
+
     def exponent_at_zero(self) -> float:
         a = self.base.exponent_at_zero()
         return (a - 1.0) / 2.0 if self.exponent == 2.0 else 2.0 * a + 1.0
@@ -318,8 +354,8 @@ def tabulate_density(dens: Density, lo: float | None = None, hi: float | None = 
         lo = slo if slo > 0.0 else hi * 1e-7
     lo = max(lo, slo if slo > 0.0 else 0.0) or hi * 1e-7
     grid = geometric_grid(lo, hi, per_decade)
-    ys = [max(0.0, dens.value(r)) for r in grid]
-    return TableDensity(tuple(grid), tuple(ys), provenance=dens.provenance_name())
+    ys = np.maximum(dens.values(np.asarray(grid)), 0.0)
+    return TableDensity(tuple(grid), tuple(ys.tolist()), provenance=dens.provenance_name())
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +540,7 @@ def validate(m: PolarMeasure, level: str = "levy") -> ValidationReport:
 # integration
 # ---------------------------------------------------------------------------
 
-def integrate(rc: RadialComponent, g: Callable[[float], float],
+def integrate(rc: RadialComponent, g: Callable[[np.ndarray], np.ndarray],
               interval: tuple[float, float], *,
               abs_tol: float = DEFAULT_ABS_TOL,
               singular_left: bool | None = None,
@@ -513,27 +549,63 @@ def integrate(rc: RadialComponent, g: Callable[[float], float],
     """Integral of g against the radial measure over the half-open interval
     (a, b]. b may be math.inf.
 
-    g_moment declares the growth of g at infinity (|g(r)| <= const * r**g_moment
-    for large r) so the infinite upper limit can be truncated at a radius whose
-    certified remainder is below abs_tol/10; densities without an envelope are
-    integrated on the infinite interval directly.
+    g is called on each atom's radius, a float, and on arrays of radii for
+    the density part, so it must be written with numpy; it returns the
+    value or the array of values (a constant broadcasts). g_moment declares
+    the growth of g at infinity (|g(r)| <= const * r**g_moment for large r)
+    so the infinite upper limit can be truncated at a radius whose
+    certified remainder is below abs_tol/10; densities without an envelope
+    are integrated on the infinite interval directly.
     """
-    a, b = interval
-    if a < 0.0:
-        raise ValueError(f"interval must sit inside (0, oo], got {interval}")
-    if b is None:
-        b = math.inf
+    a, b = _interval(interval)
     total = 0.0
     for loc, mass in rc.atoms:
         if a < loc <= b:
             total += g(loc) * mass
-    dens = rc.density
-    if dens is None:
-        return total
+    if rc.density is not None:
+        total += float(_density_integrals(rc.density, lambda r, k: g(r), 1, a, b, abs_tol,
+                                          singular_left, singular_right, g_moment)[0])
+    return total
+
+
+def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                    n: int, interval: tuple[float, float], *,
+                    abs_tol: float = DEFAULT_ABS_TOL,
+                    singular_left: bool | None = None,
+                    singular_right: bool | None = None,
+                    g_moment: float = 0.0) -> np.ndarray:
+    """The n integrals of g(., k), k = 0..n-1, against the radial measure over
+    (a, b], solved as one batch. g takes an array of radii and the equally
+    long array of integral indices; every g(., k) must satisfy the growth
+    bound g_moment. Otherwise as integrate()."""
+    a, b = _interval(interval)
+    ks = np.arange(n)
+    total = np.zeros(n)
+    for loc, mass in rc.atoms:
+        if a < loc <= b:
+            total += g(np.full(n, loc), ks) * mass
+    if rc.density is not None:
+        total += _density_integrals(rc.density, g, n, a, b, abs_tol,
+                                    singular_left, singular_right, g_moment)
+    return total
+
+
+def _interval(interval: tuple[float, float]) -> tuple[float, float]:
+    a, b = interval
+    if a < 0.0:
+        raise ValueError(f"interval must sit inside (0, oo], got {interval}")
+    return a, math.inf if b is None else b
+
+
+def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                       n: int, a: float, b: float, abs_tol: float,
+                       singular_left: bool | None, singular_right: bool | None,
+                       g_moment: float) -> np.ndarray:
+    """The density part of integrate_batch."""
     lo = max(a, dens.support[0])
     hi = min(b, dens.support[1])
     if hi <= lo:
-        return total
+        return np.zeros(n)
     if math.isinf(hi):
         if dens.tail_all_moments():
             try:
@@ -541,27 +613,24 @@ def integrate(rc: RadialComponent, g: Callable[[float], float],
             except NotImplementedError:
                 pass
     if hi <= lo:
-        return total
+        return np.zeros(n)
     sing_lo = dens.singular_at_low() if singular_left is None else singular_left
     sing_hi = dens.singular_at_high() if singular_right is None else singular_right
     sing_lo = sing_lo and (lo <= dens.support[0])
     sing_hi = sing_hi and math.isfinite(dens.support[1]) and (hi >= dens.support[1])
-    points = None
+    # break points: the kinks of a table and, over a long finite range, one
+    # mark per decade
+    points: list[float] = []
     if isinstance(dens, TableDensity):
-        knots = dens.knots_inside(lo, hi if math.isfinite(hi) else dens.support[1])
-        if 0 < len(knots) <= 64:
-            points = knots
-    radii = [r for r in dens.interior_singular_radii() if lo < r < hi]
-    if radii:
-        points = sorted(set(points or []) | set(radii))
-    marks = _decade_marks(lo, hi) if math.isfinite(hi) else []
-    if marks:
-        points = sorted(set(points or []) | set(marks))
-    total += adaptive_quad(lambda r: g(r) * dens.value(r), lo, hi,
-                           abs_tol=abs_tol, singular_left=sing_lo,
-                           singular_right=sing_hi, points=points,
-                           label="radial integral")
-    return total
+        points += dens.knots_inside(lo, hi if math.isfinite(hi) else dens.support[1])
+    if math.isfinite(hi):
+        points += _decade_marks(lo, hi)
+    pts = np.asarray(points, float)
+    blowups = dens.interior_singular_radii()
+    return quad_batch(lambda r, k: g(r, k) * dens.values(r), n, lo, hi,
+                      abs_tol=abs_tol, singular_left=sing_lo, singular_right=sing_hi,
+                      points=lambda k: pts, blowups=lambda k: blowups,
+                      label="radial integral")
 
 
 def tail(rc: RadialComponent, u: float, *, abs_tol: float = DEFAULT_ABS_TOL) -> float:

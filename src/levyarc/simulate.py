@@ -130,7 +130,7 @@ class _JumpTable:
             if hi > eps:
                 lo = max(eps, dens.support[0])
                 grid = np.asarray(geometric_grid(lo, hi, JUMP_TABLE_PER_DECADE))
-                vals = np.array([max(dens.value(x), 0.0) for x in grid])
+                vals = np.maximum(dens.values(grid), 0.0)
                 seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
                 cum = np.concatenate([[0.0], np.cumsum(seg)])
                 dens_mass = float(cum[-1])

@@ -42,7 +42,7 @@ from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
                        PolarMeasure, RadialComponent, TableDensity, integrate,
                        power_reparam, tabulate_density, validate)
-from .quadrature import _decade_marks, adaptive_quad
+from .quadrature import _decade_marks, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
 # on (0, oo), total mass finite near infinity and integrating u^2 near zero.
@@ -69,6 +69,14 @@ class ArcsineDilationDensity(Density):
         if not 0.0 < u < 1.0:
             return 0.0
         return TWO_OVER_PI / math.sqrt((1.0 - u) * (1.0 + u))
+
+    def values(self, us) -> np.ndarray:
+        u = np.asarray(us, float)
+        out = np.zeros(u.shape)
+        inside = (u > 0.0) & (u < 1.0)
+        ui = u[inside]
+        out[inside] = TWO_OVER_PI / np.sqrt((1.0 - ui) * (1.0 + ui))
+        return out
 
     def singular_at_high(self) -> bool:
         return True
@@ -137,74 +145,95 @@ def _zero_bound(dens: Density) -> tuple[float, float]:
     return c, a
 
 
-def _sine_mapped_piece(g: Callable[[float], float], x: float, a: float, b: float,
-                       pts: list[float], abs_tol: float, label: str) -> float:
-    """Integral of g(s) / sqrt(s - x) over (a, b) with x <= a < b,
-    via s = a + (b - a) sin^2(theta). The jacobian absorbs inverse square
-    root blowups at both edges, including the s = x anchor when a == x, so
-    the integrand never divides by a difference that can underflow."""
-    span = b - a
-    root_span = math.sqrt(span)
-    anchored = (a == x)
-
-    def integrand(theta: float) -> float:
-        st = math.sin(theta)
-        ct = math.cos(theta)
-        s = a + span * st * st
-        v = g(s)
-        if anchored:
-            return 2.0 * root_span * ct * v
-        return 2.0 * span * st * ct * v / math.sqrt(s - x)
-
-    mapped = None
-    if pts:
-        mapped = [math.asin(min(1.0, math.sqrt((p - a) / span))) for p in pts]
-    return adaptive_quad(integrand, 0.0, 0.5 * math.pi, abs_tol=abs_tol,
-                         points=mapped, label=label)
-
-
-def _abel_integral(g: Callable[[float], float], x: float, lo: float, hi: float,
-                   blowups: Iterable[float], knots: Sequence[float],
-                   abs_tol: float, label: str) -> float:
-    """int over (max(x, lo), hi) of g(s) (s - x)^(-1/2) ds; hi may be inf.
+def _abel_integrals(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, lo: float,
+                    his: np.ndarray, blowups: Iterable[float], knots: Sequence[float],
+                    abs_tol: float, label: Callable[[int], str]) -> np.ndarray:
+    """int over (max(x, lo), hi) of g(s) (s - x)^(-1/2) ds for every x of xs,
+    each with its own hi (which may be inf), solved as one batch; g is
+    vectorised.
 
     g may blow up integrably at either end and at each of the blowups; the
-    range is split there so every blowup sits at a piece edge, where the
-    sine substitution absorbs it. knots are kinks of g (the knots of a
-    table), handed to the quadrature as break points."""
-    start = max(x, lo)
-    if hi <= start:
-        return 0.0
-    cuts: list[float] = []
-    for c in sorted(set(blowups)):
-        if not start < c < hi:
+    range is split there so every blowup sits at a piece edge. On a finite
+    piece (a, b) the sine map s = a + (b - a) sin^2(theta) absorbs inverse
+    square root blowups at both edges, including the s = x anchor when
+    a == x, so the integrand never divides by a difference that can
+    underflow. knots are kinks of g (the knots of a table), handed to the
+    quadrature as break points. label(i) names the integral at xs[i]."""
+    blowups = sorted(set(blowups))
+    knots = np.asarray(knots, float)
+    # one mark per decade of the distance from a piece's start, which the
+    # sine map sends to the same angles on every piece
+    marks = np.arcsin(np.sqrt(np.array(_decade_marks(0.0, 1.0))))
+    owner, starts, ends, anchors, tols = [], [], [], [], []
+    for i, (x, hi) in enumerate(zip(xs.tolist(), his.tolist())):
+        start = max(x, lo)
+        if hi <= start:
             continue
-        if c - start <= 1e-12 * c:
-            # x sits at this blowup to machine resolution; g is unresolvable
-            # on the sliver, so read the integral right continuously from
-            # above
-            continue
-        if math.isfinite(hi) and hi - c <= 1e-12 * hi:
-            continue
-        if cuts and c - cuts[-1] <= 1e-12 * c:
-            continue
-        cuts.append(c)
-    edges = [start] + cuts + [hi]
-    n = len(edges) - 1
-    val = 0.0
-    for a, b in zip(edges, edges[1:]):
-        pts = [p for p in knots if a < p < b]
-        if math.isinf(b):
-            # no truncation radius is available; the quotient is safe here
-            # because a > x holds on any unbounded piece with cuts before it,
-            # and the anchored case falls back to the endpoint substitution
-            val += adaptive_quad(lambda s: g(s) / math.sqrt(s - x), a, b,
-                                 abs_tol=abs_tol / n, singular_left=True,
-                                 points=pts or None, label=label)
-            continue
-        pts += _decade_marks(a, b)
-        val += _sine_mapped_piece(g, x, a, b, sorted(set(pts)), abs_tol / n, label)
-    return val
+        cuts: list[float] = []
+        for c in blowups:
+            if not start < c < hi:
+                continue
+            if c - start <= 1e-12 * c:
+                # x sits at this blowup to machine resolution; g is
+                # unresolvable on the sliver, so read the integral right
+                # continuously from above
+                continue
+            if math.isfinite(hi) and hi - c <= 1e-12 * hi:
+                continue
+            if cuts and c - cuts[-1] <= 1e-12 * c:
+                continue
+            cuts.append(c)
+        edges = [start] + cuts + [hi]
+        for a, b in zip(edges, edges[1:]):
+            owner.append(i)
+            starts.append(a)
+            ends.append(b)
+            anchors.append(x)
+            tols.append(abs_tol / (len(edges) - 1))
+    if not owner:
+        return np.zeros(xs.size)
+    a = np.array(starts)
+    b = np.array(ends)
+    x = np.array(anchors)
+    finite = np.isfinite(b)
+    span = np.where(finite, b - a, 0.0)
+    lead = a - x
+
+    def sine_mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # s - x = (a - x) + span sin^2(t): no difference that can cancel, and
+        # at a == x the quotient is 2 span^(1/2) cos(t) g(s)
+        st = np.sin(t)
+        sp = span[k]
+        rise = sp * st * st
+        return 2.0 * sp * st * np.cos(t) * g(a[k] + rise) / np.sqrt(lead[k] + rise)
+
+    def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        fin = finite[k]
+        if fin.all():
+            return sine_mapped(t, k)
+        out = np.empty(t.shape)
+        out[fin] = sine_mapped(t[fin], k[fin])
+        # no truncation radius is available; the quotient is safe here
+        # because a > x holds on any unbounded piece with cuts before it,
+        # and the anchored case runs on the endpoint substitution
+        s = t[~fin]
+        out[~fin] = g(s) / np.sqrt(s - x[k[~fin]])
+        return out
+
+    def points(k: int) -> np.ndarray:
+        pts = knots[(knots > a[k]) & (knots < b[k])]
+        if not finite[k]:
+            return pts
+        # a knot-free piece shares the marks array, and so its partition
+        if not pts.size:
+            return marks
+        return np.concatenate([marks, np.arcsin(np.sqrt((pts - a[k]) / span[k]))])
+
+    vals = quad_batch(integrand, len(owner), np.where(finite, 0.0, a),
+                      np.where(finite, 0.5 * math.pi, b),
+                      abs_tol=np.array(tols), singular_left=~finite, points=points,
+                      label=lambda k: label(owner[k]))
+    return np.bincount(owner, vals, xs.size)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +243,13 @@ def _abel_integral(g: Callable[[float], float], x: float, lo: float, hi: float,
 @dataclass(frozen=True, eq=False)
 class TransformedDensity(Density):
     """Radial density produced by a transform kernel from a source radial
-    component, evaluated by quadrature on demand and memoized per point.
+    component, evaluated by quadrature on demand; scalar reads are memoized
+    per point.
 
     The half-integral kernel and the scale-mixture kernel below subclass it
-    and supply _sup, _compute_depth, _evaluate and _compute_exponent along
-    with the Density metadata. name labels provenance and error messages.
+    and supply _sup, _compute_depth, _evaluate (on an array of radii inside
+    the support) and _compute_exponent along with the Density metadata.
+    name labels provenance and error messages.
     """
 
     source: RadialComponent
@@ -231,15 +262,25 @@ class TransformedDensity(Density):
         object.__setattr__(self, "_cache", {})
 
     def value(self, r: float) -> float:
-        if not math.isfinite(r) or r <= self.support[0] or r > self.support[1] or r <= 0.0:
-            return 0.0
         memo = self._memo
         got = memo.get(r)
         if got is None:
-            got = self._evaluate(r)
+            got = float(self.values(np.array([r], float))[0])
             if len(memo) < 200000:
                 memo[r] = got
         return got
+
+    def values(self, rs) -> np.ndarray:
+        """The density at every radius of an array, evaluated as one batch.
+        A radius's value does not depend on the rest of the batch, so
+        value(r) == values([r])[0] bit for bit; only value() is memoized."""
+        r = np.asarray(rs, float)
+        lo, hi = self.support
+        inside = np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0)
+        out = np.zeros(r.shape)
+        if inside.any():
+            out[inside] = self._evaluate(r[inside])
+        return out
 
     def exponent_at_zero(self) -> float:
         cache = self._cache
@@ -294,24 +335,27 @@ class _HalfIntegralKernel(TransformedDensity):
         src = self.source
         return src.kernel_depth() + (1 if src.density is not None else 0)
 
-    def _evaluate(self, r: float) -> float:
-        x = r ** self.power
-        total = 0.0
+    def _evaluate(self, rs: np.ndarray) -> np.ndarray:
+        xs = rs ** self.power
+        total = np.zeros(rs.shape)
         for loc, mass in self.source.atoms:
-            if loc > x:
-                total += mass / math.sqrt(loc - x)
+            above = xs < loc
+            total[above] += mass / np.sqrt(loc - xs[above])
         f = self.source.density
         if f is not None:
             lo, hi = f.support
+            his = np.full(xs.shape, hi)
             if math.isinf(hi) and f.tail_all_moments():
                 try:
                     # beyond max(2x, R): (s - x)^(-1/2) <= sqrt(2) s^(-1/2)
-                    hi = max(2.0 * x, f.weighted_tail_radius(INNER_ABS_TOL / math.sqrt(2.0), -0.5))
+                    cut = f.weighted_tail_radius(INNER_ABS_TOL / math.sqrt(2.0), -0.5)
+                    his = np.maximum(2.0 * xs, cut)
                 except NotImplementedError:
                     pass
             knots = f.xs if isinstance(f, TableDensity) else ()
-            total += _abel_integral(f.value, x, lo, hi, f.interior_singular_radii(), knots,
-                                    INNER_ABS_TOL, f"{self.name} kernel at r={r!r}")
+            total += _abel_integrals(f.values, xs, lo, his, f.interior_singular_radii(), knots,
+                                     INNER_ABS_TOL,
+                                     lambda i: f"{self.name} kernel at r={float(rs[i])!r}")
         return self.const * total
 
     def _compute_exponent(self) -> float:
@@ -375,58 +419,76 @@ class _ScaleMixtureKernel(TransformedDensity):
             d = max(d, max(src.density.depth, tau.density.depth) + 1)
         return d
 
-    def _evaluate(self, r: float) -> float:
+    def _evaluate(self, rs: np.ndarray) -> np.ndarray:
         src, tau = self.source, self.dilation
-        total = 0.0
+        total = np.zeros(rs.shape)
         tau_dens = tau.density
         if tau_dens is not None:
             for s, m in src.atoms:
-                total += m * tau_dens.value(r / s) / s
+                total += m * tau_dens.values(rs / s) / s
         f = src.density
         if f is not None:
             for u0, w in tau.atoms:
-                total += w * f.value(r / u0) / u0
+                total += w * f.values(rs / u0) / u0
             if tau_dens is not None:
-                total += self._upsilon_double(r, f, tau_dens)
+                total += self._upsilon_double(rs, f, tau_dens)
         return total
 
-    def _upsilon_double(self, r: float, f: Density, t: Density) -> float:
+    def _upsilon_double(self, rs: np.ndarray, f: Density, t: Density) -> np.ndarray:
         f_lo, f_hi = f.support
         t_lo, t_hi = t.support
-        lo_u = max(t_lo, r / f_hi if math.isfinite(f_hi) else 0.0)
-        hi_u = min(t_hi, r / f_lo if f_lo > 0.0 else math.inf)
-        if math.isinf(hi_u):
-            hi_u = self._upsilon_u_cut(r, f, t, hi_u)
-        if hi_u <= lo_u:
-            return 0.0
-        sing_lo = (f.singular_at_high() and math.isfinite(f_hi) and lo_u <= (r / f_hi) * (1 + 1e-12))
-        sing_hi = ((t.singular_at_high() and math.isfinite(t_hi) and hi_u >= t_hi)
-                   or (f_lo > 0.0 and f.singular_at_low() and math.isfinite(hi_u)
-                       and hi_u >= (r / f_lo) * (1 - 1e-12)))
-        # a table kinks at each knot x_k, which this integral meets at u = r/x_k
-        points = [r / xk for xk in f.xs] if isinstance(f, TableDensity) else None
+        lo_u = np.maximum(t_lo, rs / f_hi)
+        hi_u = np.minimum(t_hi, rs / f_lo) if f_lo > 0.0 else np.full(rs.shape, t_hi)
+        if math.isinf(t_hi) and f_lo == 0.0:
+            hi_u = np.array([self._upsilon_u_cut(r, f, t) for r in rs.tolist()])
+        sing_lo = (f.singular_at_high() and math.isfinite(f_hi)) & (lo_u <= (rs / f_hi) * (1 + 1e-12))
+        sing_hi = (t.singular_at_high() and math.isfinite(t_hi)) & (hi_u >= t_hi)
+        if f_lo > 0.0 and f.singular_at_low():
+            sing_hi |= np.isfinite(hi_u) & (hi_u >= (rs / f_lo) * (1 - 1e-12))
+        # the integrand is a bump in log u, so the range starts out cut at
+        # every decade; a table kinks at each knot x_k, which this integral
+        # meets at u = r/x_k
+        knots = np.asarray(f.xs if isinstance(f, TableDensity) else ())
+        # the source's blowups at rho meet it at u = r/rho, the dilation's at
+        # its own radii
+        f_blow = np.asarray(f.interior_singular_radii(), float)
+        t_blow = list(t.interior_singular_radii())
+        marks: dict[tuple[float, float], np.ndarray] = {}
 
-        def integrand(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            return f.value(r / u) * t.value(u) / u
+        def points(k: int) -> np.ndarray:
+            lo, hi = float(lo_u[k]), float(hi_u[k])
+            # radii with equal ranges share one array, and so one partition
+            if (lo, hi) not in marks:
+                marks[lo, hi] = np.array(_decade_marks(lo, hi) if math.isfinite(hi) else [])
+            return np.concatenate([rs[k] / knots, marks[lo, hi]]) if knots.size else marks[lo, hi]
 
-        return adaptive_quad(integrand, lo_u, hi_u, abs_tol=INNER_ABS_TOL,
-                             singular_left=sing_lo, singular_right=sing_hi,
-                             points=points, label=f"{self.name} kernel at r={r!r}")
+        def blowups(k: int) -> list[float]:
+            return t_blow + (rs[k] / f_blow).tolist() if f_blow.size else t_blow
 
-    def _upsilon_u_cut(self, r: float, f: Density, t: Density, hi_u: float) -> float:
+        def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return f.values(rs[k] / u) * t.values(u) / u
+
+        return quad_batch(integrand, rs.size, lo_u, hi_u, abs_tol=INNER_ABS_TOL,
+                          singular_left=sing_lo, singular_right=sing_hi, points=points,
+                          blowups=blowups,
+                          label=lambda k: f"{self.name} kernel at r={float(rs[k])!r}")
+
+    def _upsilon_u_cut(self, r: float, f: Density, t: Density) -> float:
         """Truncation point for the u-integral when the dilation has unbounded
         support: the remainder beyond R equals (after s = r/u) a tail moment
-        of the dilation weighted by the source's behavior near zero."""
+        of the dilation weighted by the source's behavior near zero. R is
+        rounded up to a power of two, so that nearby radii share it."""
         if not t.tail_all_moments():
-            return hi_u
-        c_f, a_f = _zero_bound(f)
+            return math.inf
+        cache = self._cache
+        if "zero_bound" not in cache:
+            cache["zero_bound"] = _zero_bound(f)
+        c_f, a_f = cache["zero_bound"]
         try:
             cut = t.weighted_tail_radius(INNER_ABS_TOL / max(c_f * r ** a_f, 1e-300), -a_f - 1.0)
         except NotImplementedError:
-            return hi_u
-        return max(cut, 1.0)
+            return math.inf
+        return 2.0 ** math.ceil(math.log2(max(cut, 1.0)))
 
     def _compute_exponent(self) -> float:
         # each cross term contributes, output behaves like the worst
@@ -449,24 +511,32 @@ class _ScaleMixtureKernel(TransformedDensity):
             exps.append(min(src_exp, tau_exp))
         return min(exps) if exps else 0.0
 
-    def interior_singular_radii(self) -> tuple[float, ...]:
+    def _blowup_radii(self) -> set[float]:
         """A source atom crossed with a dilation density that blows up at its
         finite supremum, and a source density blowup crossed with a dilation
         atom, leave blowups in the image."""
-        hi = self.support[1]
-        radii = []
+        radii = set()
         tau = self.dilation
         t_hi = tau.sup_support
         if (tau.density is not None and tau.density.singular_at_high()
                 and math.isfinite(t_hi)):
-            radii += [loc * t_hi for loc, _ in self.source.atoms]
+            radii.update(loc * t_hi for loc, _ in self.source.atoms)
         f = self.source.density
         if f is not None and tau.atoms:
             scaled = list(f.interior_singular_radii())
             if f.singular_at_high() and math.isfinite(f.support[1]):
                 scaled.append(f.support[1])
-            radii += [u0 * rho for u0, _ in tau.atoms for rho in scaled]
-        return tuple(sorted(r for r in set(radii) if 0.0 < r < hi))
+            radii.update(u0 * rho for u0, _ in tau.atoms for rho in scaled)
+        return radii
+
+    def singular_at_high(self) -> bool:
+        """The blowup left by the source's supremum sits at the image's."""
+        hi = self.support[1]
+        return math.isfinite(hi) and any(r >= hi for r in self._blowup_radii())
+
+    def interior_singular_radii(self) -> tuple[float, ...]:
+        hi = self.support[1]
+        return tuple(sorted(r for r in self._blowup_radii() if 0.0 < r < hi))
 
     def tail_all_moments(self) -> bool:
         if math.isfinite(self.support[1]):
@@ -651,7 +721,7 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         if dens.depth >= MAX_KERNEL_DEPTH:
             dens = tabulate_density(dens)
         us = _inversion_grid(dens, grid)
-        tails = [_preimage_tail(dens, u, abs_tol) for u in us]
+        tails = _preimage_tails(dens, np.array(us), abs_tol).tolist()
         t0 = max(tails[0], 0.0)
         floor = -MONOTONE_SLACK * max(t0, 1e-300)
         for j in range(len(tails)):
@@ -682,13 +752,13 @@ def _inversion_grid(dens: Density, grid: tuple[float, float, int] | None) -> lis
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
 
-def _preimage_tail(dens: Density, u: float, abs_tol: float) -> float:
+def _preimage_tails(dens: Density, us: np.ndarray, abs_tol: float) -> np.ndarray:
     lo, hi = dens.support
-    s_hi = hi * hi
-    if math.isinf(s_hi) and dens.tail_all_moments():
+    s_his = np.full(us.shape, hi * hi)
+    if math.isinf(hi) and dens.tail_all_moments():
         try:
             r_cut = dens.weighted_tail_radius(abs_tol, 0.0)
-            s_hi = max(2.0 * u, r_cut * r_cut)
+            s_his = np.maximum(2.0 * us, r_cut * r_cut)
         except NotImplementedError:
             pass
     # the integrand blows up (integrably) wherever the density does, and a
@@ -696,5 +766,6 @@ def _preimage_tail(dens: Density, u: float, abs_tol: float) -> float:
     # kinks at every squared knot
     blowups = [rho * rho for rho in dens.interior_singular_radii()]
     knots = [x * x for x in dens.xs] if isinstance(dens, TableDensity) else ()
-    return 0.5 * _abel_integral(lambda s: dens.value(math.sqrt(s)), u, lo * lo, s_hi,
-                                blowups, knots, abs_tol, f"inversion tail at u={u!r}")
+    return 0.5 * _abel_integrals(lambda s: dens.values(np.sqrt(s)), us, lo * lo, s_his,
+                                 blowups, knots, abs_tol,
+                                 lambda i: f"inversion tail at u={float(us[i])!r}")

@@ -188,3 +188,17 @@ def test_char_fn_grid_csv_has_full_precision(poisson_triplet):
     z, re, im = lines[1].split(",")
     v = la.char_fn(poisson_triplet, (0.3,))
     assert float(re) == v.real and float(im) == v.imag
+
+
+def test_char_exponent_on_an_array_of_points():
+    # one batch over all points equals the point-by-point exponents
+    nu = la.half_line_measure(atoms=[(1.0, 0.5)], density=la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0))
+    t = la.Triplet([[0.3]], nu, [0.2])
+    zs = np.array([[0.0], [0.5], [-1.3], [4.0]])
+    got = char_exponent(t, zs)
+    assert got.shape == (4,)
+    for z, v in zip(zs, got):
+        assert v == char_exponent(t, z)
+    assert char_exponent(t, [0.0]) == 0.0
+    with pytest.raises(ValueError):
+        char_exponent(t, np.zeros((3, 2)))

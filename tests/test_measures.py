@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import levyarc as la
 from levyarc.errors import MalformedMeasure
-from levyarc.measures import integrate, power_reparam, tail, validate
+from levyarc.measures import (Density, PowerImageDensity, integrate, integrate_batch,
+                              power_reparam, tail, validate)
 
 # strategies for small well-formed radial measures
 atom_lists = st.lists(
@@ -176,7 +177,7 @@ def test_power_reparam_moves_atoms():
 @given(atom_lists)
 def test_power_reparam_change_of_variables_atoms(atoms):
     m = la.half_line_measure(atoms=atoms)
-    g = lambda r: math.exp(-r)
+    g = lambda r: np.exp(-r)
     lhs = integrate(m.components[0][1], lambda r: g(r * r), (0.0, math.inf))
     rhs = integrate(power_reparam(m, 2.0).components[0][1], g, (0.0, math.inf))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
@@ -188,7 +189,7 @@ def test_power_reparam_change_of_variables_density(params):
     m = la.half_line_measure(density=la.ExpPowerDensity(c, a, b, p))
     # r**2 factor keeps g integrable against r**a for every a the strategy
     # draws (the image density has exponent (a - 1) / 2)
-    g = lambda r: r * r * math.exp(-r)
+    g = lambda r: r * r * np.exp(-r)
     lhs = integrate(m.components[0][1], lambda r: g(r * r), (0.0, math.inf))
     rhs = integrate(power_reparam(m, 2.0).components[0][1], g, (0.0, math.inf))
     assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
@@ -250,3 +251,68 @@ def test_tabulate_density_preserves_mass():
 def test_table_interior_singular_radii_default_empty():
     t = la.TableDensity([0.1, 0.5, 1.0], [0.2, 0.8, 0.1])
     assert t.interior_singular_radii() == ()
+
+
+# ---------------------------------------------------------------------------
+# vectorised densities and batched integration
+# ---------------------------------------------------------------------------
+
+class _Ramp(Density):
+    """User-defined density with value() only."""
+
+    support = (0.0, 2.0)
+
+    def value(self, r):
+        return r if 0.0 < r < 2.0 else 0.0
+
+
+def _exp_power_condition(d, r):
+    """Condition number of c r^a exp(-b r^p) evaluated in log space: numpy's
+    exp and log may round differently from the math module's in the last
+    bit, and the exponent amplifies that by this factor."""
+    lr = np.log(r)
+    return 1.0 + abs(math.log(d.c)) + np.abs(d.a * lr) + d.b * r ** d.p * (1.0 + d.p * np.abs(lr))
+
+
+def test_density_values_match_value():
+    rs = np.array([[-1.0, 0.0, 1e-9, 0.3], [1.0, 2.0, 7.5, 1e100]])
+    table = la.tabulate_density(la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0), per_decade=16)
+    exact = [la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0), la.ExpPowerDensity(2.0, 1.0, 0.5, 2.0),
+             la.ExpPowerDensity(1.0, 0.0, 0.0, 1.0, (0.5, 1.5))]
+    bitwise = [table, _Ramp(), la.arcsine_dilation().density,
+               PowerImageDensity(table, 2.0),
+               PowerImageDensity(table, 0.5)]
+    for d in exact + bitwise:
+        got = d.values(rs)
+        assert got.shape == rs.shape and got.dtype == np.float64
+        want = np.array([[d.value(float(r)) for r in row] for row in rs])
+        if d in bitwise:
+            assert np.array_equal(got, want), d
+            continue
+        assert np.array_equal(got == 0.0, want == 0.0), d
+        pos = want > 0.0
+        tol = 2.0 * np.finfo(float).eps * _exp_power_condition(d, rs[pos])
+        assert np.all(np.abs(got[pos] - want[pos]) <= tol * want[pos]), d
+
+
+def test_integrate_calls_g_on_arrays():
+    # the atom's radius alone, the density part on arrays of nodes
+    seen = []
+
+    def g(r):
+        seen.append(np.shape(r))
+        return r
+
+    rc = la.RadialComponent(((0.5, 2.0),), la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0))
+    assert integrate(rc, g, (0.0, math.inf), g_moment=1.0) == pytest.approx(2.0, rel=1e-12)
+    assert seen[0] == () and len(seen) > 1
+    assert all(len(s) == 1 and s[0] >= 21 for s in seen[1:])
+
+
+def test_integrate_batch_matches_single_integrals():
+
+    rc = la.RadialComponent(((0.5, 2.0), (3.0, 1.0)), la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0))
+    zs = np.array([0.1, 0.7, 2.0, 9.0])
+    got = integrate_batch(rc, lambda r, k: np.cos(r * zs[k]) - 1.0, zs.size, (0.0, math.inf))
+    for z, v in zip(zs, got):
+        assert v == integrate(rc, lambda r: np.cos(r * z) - 1.0, (0.0, math.inf))

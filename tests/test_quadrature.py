@@ -1,15 +1,16 @@
 """Adaptive quadrature: exact values, singular endpoints, break points,
-truncation radii."""
+truncation radii, and the batched engine."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from levyarc.errors import QuadratureNonConvergence
 from levyarc.quadrature import (adaptive_quad, exp_tail_radius,
-                                geometric_grid)
+                                geometric_grid, quad_batch)
 
 
 def test_polynomial_exact():
@@ -117,3 +118,75 @@ def test_geometric_grid_shape():
     assert g[0] == pytest.approx(0.1) and g[-1] == pytest.approx(10.0)
     ratios = [g[i + 1] / g[i] for i in range(len(g) - 1)]
     assert max(ratios) - min(ratios) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched Gauss-Kronrod engine
+# ---------------------------------------------------------------------------
+
+def test_batch_of_parametrised_integrals():
+    c = np.array([0.5, 1.0, 2.0, 7.0])
+    got = quad_batch(lambda x, k: np.exp(-c[k] * x), c.size, 0.0, math.inf, abs_tol=1e-12)
+    assert np.all(np.abs(got - 1.0 / c) < 1e-12)
+
+
+def test_batch_ranges_flags_and_interior_blowups():
+    # int_0^1 |x - c|^(-1/2) dx = 2 (sqrt(c) + sqrt(1 - c)), blowup at c
+    c = np.array([0.2, 0.5, 0.9])
+    got = quad_batch(lambda x, k: 1.0 / np.sqrt(np.abs(x - c[k])), c.size, 0.0, 1.0,
+                     abs_tol=1e-12, blowups=lambda k: [c[k]])
+    assert np.all(np.abs(got - 2.0 * (np.sqrt(c) + np.sqrt(1.0 - c))) < 1e-11)
+    # int_a^b ((x - a)(b - x))^(-1/2) dx = pi on ranges of their own
+    a = np.array([0.0, 1.0, -3.0])
+    b = np.array([1.0, 5.0, -2.5])
+    got = quad_batch(lambda x, k: 1.0 / np.sqrt((x - a[k]) * (b[k] - x)), a.size, a, b,
+                     abs_tol=1e-12, singular_left=True, singular_right=True)
+    assert np.all(np.abs(got - math.pi) < 1e-11)
+
+
+def test_batch_break_points_resolve_kinks():
+    knots = np.array([i / 64.0 for i in range(1, 64)])
+    f = lambda x, k: np.min(np.abs(x[:, None] - knots[None, :]), axis=1)
+    got = quad_batch(f, 1, 0.0, 1.0, abs_tol=1e-10, points=lambda k: knots)
+    assert abs(got[0] - (62.0 / 16384.0 + 2.0 * 0.5 / 4096.0)) < 1e-12
+
+
+def test_batch_empty_ranges_are_zero():
+    got = quad_batch(lambda x, k: np.ones_like(x), 3, [0.0, 2.0, 3.0], [1.0, 2.0, 1.0])
+    assert got.tolist() == [1.0, 0.0, 0.0]
+
+
+def test_batch_result_independent_of_company():
+    # an integral's subdivision depends only on itself, so it comes out
+    # bit for bit the same alone and inside any batch
+    c = np.array([0.3, 1.7, 4.0, 11.0])
+    f = lambda x, k: np.cos(c[k] * x) / np.sqrt(x)
+    batch = quad_batch(f, c.size, 0.0, 3.0, abs_tol=1e-12, singular_left=True)
+    for k in range(c.size):
+        alone = quad_batch(lambda x, j: np.cos(c[k] * x) / np.sqrt(x), 1, 0.0, 3.0,
+                           abs_tol=1e-12, singular_left=True)
+        assert alone[0] == batch[k]
+
+
+def test_batch_nonconvergence_names_lowest_failing_integral():
+    # integrals 1 and 3 diverge like 1/x at 0
+    p = np.array([0.0, 1.0, 0.5, 1.0])
+    with pytest.raises(QuadratureNonConvergence, match="integral 1 of 4") as info:
+        quad_batch(lambda x, k: x ** -p[k], p.size, 0.0, 1.0, abs_tol=1e-10,
+                   label=lambda k: f"integral {k} of 4")
+    assert info.value.partial is not None and info.value.bound is not None
+
+
+def test_batch_returns_accepted_value_when_refinement_only_adds_noise():
+    # pi^(-1/2) (s - x)^(-1/2) (1 - s)^(-1/2) on (x, 1) in the sine map has a
+    # constant integrand, except that (1 - s) loses digits as s -> 1; the
+    # engine keeps the accepted first estimate instead of chasing the noise
+    x = 0.9025
+    span = 1.0 - x
+
+    def f(t, k):
+        s = x + span * np.sin(t) ** 2
+        return 2.0 * np.sqrt(span) * np.cos(t) / np.sqrt(1.0 - s)
+
+    got = quad_batch(f, 1, 0.0, 0.5 * math.pi, abs_tol=1e-12)
+    assert abs(got[0] - math.pi) < 1e-11

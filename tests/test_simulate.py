@@ -217,3 +217,30 @@ def test_cf_distance_grid_mismatch(poisson_triplet):
     b = la.char_fn_grid(poisson_triplet, [(0.0,), (2.0,)])
     with pytest.raises(GridMismatch):
         la.cf_distance(a, b)
+
+
+@pytest.mark.parametrize("dens", [
+    la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0),
+    la.ExpPowerDensity(math.pi / 4.0, -0.5, 1.0, 0.5),
+    la.tabulate_density(la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0), per_decade=64),
+    la.arcsine1(la.half_line_measure(atoms=[(1.0, 1.0)])).components[0][1].density,
+])
+def test_jump_table_matches_scalar_tabulation(dens):
+    # the table is built from one values() call; the scalar construction it
+    # replaced read value() point by point. Same grid bit for bit, and the
+    # cumulative mass within a few units of the dtype's resolution (numpy's
+    # exp and log may round the last bit differently from the math module)
+    from levyarc.simulate import _JumpTable
+    from levyarc.quadrature import geometric_grid
+
+    eps = 1e-3
+    tab = _JumpTable(la.RadialComponent((), dens), eps)
+    grid = np.asarray(geometric_grid(max(eps, dens.support[0]), dens.table_radius(),
+                                     la.simulate.JUMP_TABLE_PER_DECADE))
+    vals = np.array([max(dens.value(x), 0.0) for x in grid])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(grid))])
+    assert tab.grid.dtype == tab.cum.dtype == np.float64
+    assert np.array_equal(tab.grid, grid)
+    assert np.allclose(tab.cum, cum, rtol=4.0 * np.finfo(float).eps, atol=0.0)
+    if not isinstance(dens, la.ExpPowerDensity):
+        assert np.array_equal(tab.cum, cum)

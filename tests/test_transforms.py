@@ -338,3 +338,128 @@ def test_chained_transform_depth_is_bounded(delta1):
     m = la.upsilon0(la.arcsine1(la.upsilon0(delta1)))
     d = _density(m)
     assert d.value(0.7) > 0.0 and math.isfinite(d.value(0.7))
+
+
+# ---------------------------------------------------------------------------
+# batched kernel evaluation against scalar references
+# ---------------------------------------------------------------------------
+
+def _quad(f, a, b, **kw):
+    from scipy import integrate as sp_integrate
+    return sp_integrate.quad(f, a, b, epsabs=1e-14, epsrel=1e-13, limit=500, **kw)[0]
+
+
+def _ref_a1(rc, r):
+    """(2/pi) int_(x,oo) (s - x)^(-1/2) rc(ds) at x = r^2, by scipy's quad
+    after s = x + w^2, piece by piece between the knots of a table."""
+    x = r * r
+    total = sum(m / math.sqrt(loc - x) for loc, m in rc.atoms if loc > x)
+    f = rc.density
+    if isinstance(f, la.TableDensity):
+        knots = [math.sqrt(s - x) for s in f.xs if s > x]
+        edges = ([0.0] if f.xs[0] <= x else []) + knots
+        total += sum(_quad(lambda w: 2.0 * f.value(x + w * w), a, b)
+                     for a, b in zip(edges, edges[1:]))
+    elif f is not None:
+        total += _quad(lambda w: 2.0 * f.value(x + w * w), 0.0, math.inf)
+    return 2.0 / math.pi * total
+
+
+def _ref_ups0(rc, r):
+    """int u^(-1) rc(r/u) e^(-u) du, by scipy's quad, piece by piece
+    between the images u = r/x_k of a table's knots."""
+    total = sum(m * math.exp(-r / s) / s for s, m in rc.atoms)
+    f = rc.density
+    g = lambda u: f.value(r / u) * math.exp(-u) / u
+    if isinstance(f, la.TableDensity):
+        edges = [r / s for s in reversed(f.xs)]
+        total += sum(_quad(g, a, b) for a, b in zip(edges, edges[1:]))
+    elif f is not None:
+        total += _quad(g, 0.0, math.inf)
+    return total
+
+
+def _sources():
+    ex2 = la.ex2_input_density()
+    return {"EX1": la.RadialComponent(density=la.ex1_input_density()),
+            "EX2": la.RadialComponent(density=ex2),
+            "delta1": la.RadialComponent(atoms=((1.0, 1.0),)),
+            "two atoms": la.RadialComponent(atoms=((0.5, 1.0), (2.0, 1.0))),
+            "table": la.RadialComponent(density=la.tabulate_density(ex2, per_decade=64))}
+
+
+RADII = [0.13, 0.5, 0.9, 1.1, 1.3, 2.7, 4.2]
+
+
+@pytest.mark.parametrize("source", list(_sources()))
+@pytest.mark.parametrize("kernel, ref", [("a1", _ref_a1), ("ups0", _ref_ups0)])
+def test_kernel_values_match_scalar_quad(kernel, ref, source):
+    rc = _sources()[source]
+    m = la.PolarMeasure(1, ((la.Direction((1.0,)), rc),))
+    img = la.arcsine1(m) if kernel == "a1" else la.upsilon0(m)
+    got = _density(img).values(np.array(RADII))
+    for r, v in zip(RADII, got):
+        want = ref(rc, r)
+        assert abs(v - want) <= 1e-12 + 1e-12 * abs(want), (r, v, want)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: la.arcsine1(m),
+    lambda m: la.upsilon0(m),
+    lambda m: la.arcsine1(la.upsilon0(m)),
+    lambda m: la.upsilon_alpha_beta(la.arcsine1(m), -2.0, 2.0),
+])
+def test_value_is_values_bit_for_bit(ex2_measure, build):
+    # fresh kernels on both sides, so no memo is shared: one radius alone and
+    # the same radius inside a batch take the same quadrature
+    r = 1.37
+    alone = _density(build(ex2_measure)).value(r)
+    batch = _density(build(ex2_measure)).values(np.array([0.2, r, 3.1]))
+    assert alone == batch[1]
+
+
+@pytest.mark.parametrize("kernel, where", [
+    ("arcsine1", "a1 kernel at r=0.5"),
+    ("upsilon_arcsine", "upsilon kernel at r=0.5"),
+])
+def test_batch_names_its_unresolvable_radius(kernel, where):
+    # both images live on (0, 2^(1/2)] or (0, 2]; the other radii of the batch
+    # lie outside, so only r = 0.5 needs (and fails) the quadrature
+    if kernel == "arcsine1":
+        d = _image("arcsine1", _SquareWave())
+    else:
+        d = _density(la.upsilon_tau(la.half_line_measure(density=_SquareWave()),
+                                    la.arcsine_dilation()))
+    with pytest.raises(QuadratureNonConvergence, match=where) as info:
+        d.values(np.array([2.5, 0.5, 3.0]))
+    assert "r=2.5" not in str(info.value) and "r=3.0" not in str(info.value)
+
+
+def test_upsilon_on_cli_sized_table_batch(delta1):
+    # the table the CLI writes for a1(delta_1): 512 points per decade over
+    # seven decades; every knot is a break point of every radius's integral,
+    # and the engine refines them in groups of bounded size
+    tab = la.tabulate_density(_density(la.arcsine1(delta1)))
+    assert len(tab.xs) == 3585
+    d = _density(la.upsilon0(la.half_line_measure(density=tab)))
+    rs = np.geomspace(0.01, 3.0, 100)
+    got = d.values(rs)
+    exact = _density(la.upsilon0(la.arcsine1(delta1))).values(rs[::20])
+    assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+    # the table carries 0.956 of the unit mass (its top knot sits on the
+    # blowup at 1), so the image reads a little low
+    assert np.all(np.abs(got[::20] / exact - 1.0) < 0.1)
+
+
+def test_scale_mixture_declares_blowup_at_its_supremum(delta1):
+    # the atom at 1 crossed with the arcsine dilation's blowup at 1 leaves a
+    # blowup at the image's supremum 1
+    for img in (la.arcsine2(delta1), la.upsilon_tau(delta1, la.arcsine_dilation())):
+        d = _density(img)
+        assert d.support[1] == 1.0
+        assert d.singular_at_high()
+        assert d.interior_singular_radii() == ()
+    assert not _density(la.upsilon0(delta1)).singular_at_high()
+    two = la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 1.0)])
+    d = _density(la.arcsine2(two))
+    assert d.singular_at_high() and d.interior_singular_radii() == (0.5,)
