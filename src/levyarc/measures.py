@@ -541,31 +541,15 @@ def validate(m: PolarMeasure, level: str = "levy") -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def integrate(rc: RadialComponent, g: Callable[[np.ndarray], np.ndarray],
-              interval: tuple[float, float], *,
-              abs_tol: float = DEFAULT_ABS_TOL,
-              singular_left: bool | None = None,
-              singular_right: bool | None = None,
-              g_moment: float = 0.0) -> float:
+              interval: tuple[float, float], **kw) -> float:
     """Integral of g against the radial measure over the half-open interval
     (a, b]. b may be math.inf.
 
-    g is called on each atom's radius, a float, and on arrays of radii for
-    the density part, so it must be written with numpy; it returns the
-    value or the array of values (a constant broadcasts). g_moment declares
-    the growth of g at infinity (|g(r)| <= const * r**g_moment for large r)
-    so the infinite upper limit can be truncated at a radius whose
-    certified remainder is below abs_tol/10; densities without an envelope
-    are integrated on the infinite interval directly.
+    g is called on arrays of radii, so it must be written with numpy; it
+    returns the array of values (a constant broadcasts). Keyword options as
+    integrate_batch(), of which this is the case of one integral.
     """
-    a, b = _interval(interval)
-    total = 0.0
-    for loc, mass in rc.atoms:
-        if a < loc <= b:
-            total += g(loc) * mass
-    if rc.density is not None:
-        total += float(_density_integrals(rc.density, lambda r, k: g(r), 1, a, b, abs_tol,
-                                          singular_left, singular_right, g_moment)[0])
-    return total
+    return float(integrate_batch(rc, lambda r, k: g(r), 1, interval, **kw)[0])
 
 
 def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -575,9 +559,17 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
                     singular_right: bool | None = None,
                     g_moment: float = 0.0) -> np.ndarray:
     """The n integrals of g(., k), k = 0..n-1, against the radial measure over
-    (a, b], solved as one batch. g takes an array of radii and the equally
-    long array of integral indices; every g(., k) must satisfy the growth
-    bound g_moment. Otherwise as integrate()."""
+    the half-open interval (a, b], solved as one batch. b may be math.inf.
+
+    g takes an array of radii and the equally long array of integral
+    indices and returns the array of values (a constant broadcasts); it is
+    called once per atom and on arrays of quadrature nodes for the density
+    part. g_moment declares the growth of every g(., k) at infinity
+    (|g(r)| <= const * r**g_moment for large r) so the infinite upper limit
+    can be truncated at a radius whose certified remainder is below
+    abs_tol/10; densities without an envelope are integrated on the
+    infinite interval directly.
+    """
     a, b = _interval(interval)
     ks = np.arange(n)
     total = np.zeros(n)

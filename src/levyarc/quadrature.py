@@ -321,6 +321,8 @@ def quad_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
     evaluates all new halves in one call of f. Integrals are taken in
     groups of about GROUP_CELLS initial subintervals, which bounds the
     memory of a large batch; no integral's result depends on its company.
+    Consecutive integrals with equal ranges, flags, break points and
+    blowups share one initial partition, built once.
     """
     tol = np.broadcast_to(np.asarray(abs_tol, float), (n,))
     a, b, sing_l, sing_r = (np.broadcast_to(np.asarray(v), (n,)).tolist()
@@ -330,20 +332,19 @@ def quad_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
     failures: list[tuple[int, float, float]] = []
     group: list[tuple[int, tuple[np.ndarray, ...]]] = []
     cells = 0
-    last = None
+    key = part = None
     for k in range(n):
         if not b[k] > a[k]:
             continue
         pts = None if points is None else points(k)
         blow = None if blowups is None else blowups(k)
-        # consecutive integrals with equal ranges and flags and the same
-        # break-point objects share their initial partition
-        if not (last and last[0] == (a[k], b[k], sing_l[k], sing_r[k])
-                and last[1] is pts and last[2] is blow):
-            last = ((a[k], b[k], sing_l[k], sing_r[k]), pts, blow,
-                    _partition(a[k], b[k], sing_l[k], sing_r[k], pts, blow))
-        group.append((k, last[3]))
-        cells += last[3][0].size
+        pts = np.asarray(() if pts is None else pts, float)
+        blow = () if blow is None else tuple(blow)
+        new_key = (a[k], b[k], sing_l[k], sing_r[k], pts.tobytes(), blow)
+        if new_key != key:
+            key, part = new_key, _partition(a[k], b[k], sing_l[k], sing_r[k], pts, blow)
+        group.append((k, part))
+        cells += part[0].size
         if cells >= GROUP_CELLS:
             _refine(f, n, group, tol, result, failures)
             group, cells = [], 0

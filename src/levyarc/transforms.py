@@ -224,7 +224,6 @@ def _abel_integrals(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, lo: f
         pts = knots[(knots > a[k]) & (knots < b[k])]
         if not finite[k]:
             return pts
-        # a knot-free piece shares the marks array, and so its partition
         if not pts.size:
             return marks
         return np.concatenate([marks, np.arcsin(np.sqrt((pts - a[k]) / span[k]))])
@@ -453,14 +452,11 @@ class _ScaleMixtureKernel(TransformedDensity):
         # its own radii
         f_blow = np.asarray(f.interior_singular_radii(), float)
         t_blow = list(t.interior_singular_radii())
-        marks: dict[tuple[float, float], np.ndarray] = {}
 
-        def points(k: int) -> np.ndarray:
+        def points(k: int) -> Sequence[float]:
             lo, hi = float(lo_u[k]), float(hi_u[k])
-            # radii with equal ranges share one array, and so one partition
-            if (lo, hi) not in marks:
-                marks[lo, hi] = np.array(_decade_marks(lo, hi) if math.isfinite(hi) else [])
-            return np.concatenate([rs[k] / knots, marks[lo, hi]]) if knots.size else marks[lo, hi]
+            marks = _decade_marks(lo, hi) if math.isfinite(hi) else []
+            return np.concatenate([rs[k] / knots, marks]) if knots.size else marks
 
         def blowups(k: int) -> list[float]:
             return t_blow + (rs[k] / f_blow).tolist() if f_blow.size else t_blow
@@ -477,7 +473,8 @@ class _ScaleMixtureKernel(TransformedDensity):
         """Truncation point for the u-integral when the dilation has unbounded
         support: the remainder beyond R equals (after s = r/u) a tail moment
         of the dilation weighted by the source's behavior near zero. R is
-        rounded up to a power of two, so that nearby radii share it."""
+        rounded up to a power of two, so that nearby radii get equal ranges
+        and quad_batch builds their initial partition once."""
         if not t.tail_all_moments():
             return math.inf
         cache = self._cache

@@ -122,6 +122,40 @@ def test_zero_levy_measure_stays_zero(gaussian_triplet):
     assert out.nu.is_zero
 
 
+def _atom_triplet():
+    nu = la.half_line_measure(atoms=[(0.7, 0.3)], density=la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0))
+    return la.Triplet([[0.4]], nu, [0.25])
+
+
+def _step_spec(name, levels):
+    # f takes each level on an equal share of [0, 1]; tau has one atom per level
+    n = len(levels)
+    return la.IntegrandSpec(
+        name, 1.0, lambda s: np.asarray(levels)[np.minimum((np.asarray(s) * n).astype(int), n - 1)],
+        sum(levels) / n, sum(c * c for c in levels) / n,
+        lambda: la.RadialComponent(tuple((c, 1.0 / n) for c in levels)))
+
+
+def test_transform_triplet_with_dilation_atom_at_one_is_identity():
+    t = _atom_triplet()
+    out = la.transform_triplet(t, _step_spec("one", [1.0]))
+    assert out.gamma[0] == t.gamma[0]
+    assert out.Sigma[0][0] == t.Sigma[0][0]
+
+
+def test_transform_triplet_with_dilation_atoms_matches_scaling():
+    # f = 1/2 on [0, 1]: the integral is X_1 / 2, so its exponent at z is X's at z/2
+    t = _atom_triplet()
+    out = la.transform_triplet(t, _step_spec("half", [0.5]))
+    for z in (0.4, 1.3, -3.0):
+        assert char_exponent(out, [z]) == pytest.approx(char_exponent(t, [0.5 * z]),
+                                                        rel=1e-12, abs=1e-12)
+    # a step with levels 1 and 2: the drift is the previous version's value
+    out = la.transform_triplet(t, _step_spec("step", [1.0, 2.0]))
+    assert out.gamma[0] == pytest.approx(0.06969045672383528, rel=1e-12)
+    assert out.Sigma[0][0] == pytest.approx(1.0, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # integrand catalog
 # ---------------------------------------------------------------------------

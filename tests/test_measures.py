@@ -296,7 +296,7 @@ def test_density_values_match_value():
 
 
 def test_integrate_calls_g_on_arrays():
-    # the atom's radius alone, the density part on arrays of nodes
+    # the atom's radius as a one-element array, the density part on arrays of nodes
     seen = []
 
     def g(r):
@@ -305,7 +305,7 @@ def test_integrate_calls_g_on_arrays():
 
     rc = la.RadialComponent(((0.5, 2.0),), la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0))
     assert integrate(rc, g, (0.0, math.inf), g_moment=1.0) == pytest.approx(2.0, rel=1e-12)
-    assert seen[0] == () and len(seen) > 1
+    assert seen[0] == (1,) and len(seen) > 1
     assert all(len(s) == 1 and s[0] >= 21 for s in seen[1:])
 
 
