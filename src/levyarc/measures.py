@@ -57,12 +57,17 @@ class Density:
     depth: int = 0
 
     def value(self, r: float) -> float:
-        raise NotImplementedError
+        """The density at one radius: values() at that single point, so
+        value(r) == values([r])[0] bit for bit."""
+        return float(self.values(np.array([r], float))[0])
 
     def values(self, rs) -> np.ndarray:
         """The density at every radius of an array, as an array of the same
-        shape. The families below evaluate natively; this default loops
-        over value() so that a user-defined density needs only value()."""
+        shape. A subclass defines at least one of value() and values(). The
+        families below define values(); this default loops over value(), so
+        a user-defined density may define value() alone."""
+        if type(self).value is Density.value:
+            raise NotImplementedError(f"{type(self).__name__} defines neither value nor values")
         r = np.asarray(rs, float)
         return np.array([self.value(float(x)) for x in r.ravel()], float).reshape(r.shape)
 
@@ -143,25 +148,13 @@ class ExpPowerDensity(Density):
         if self.b == 0.0 and math.isinf(hi):
             raise MalformedMeasure("exp_power with b = 0 requires bounded support")
 
-    def value(self, r: float) -> float:
-        lo, hi = self.support
-        if not (lo < r <= hi) or r <= 0.0 or not math.isfinite(r):
-            return 0.0
-        # log-space keeps huge probe arguments (from scale-mixture integrands)
-        # from overflowing r**a or r**p
-        lr = math.log(r)
-        logv = math.log(self.c) + self.a * lr
-        if self.b > 0.0:
-            logv -= self.b * math.exp(min(self.p * lr, 700.0))
-        if logv > 709.0:
-            return math.inf
-        return math.exp(logv)
-
     def values(self, rs) -> np.ndarray:
         r = np.asarray(rs, float)
         lo, hi = self.support
         inside = (r > lo) & (r <= hi) & (r > 0.0) & np.isfinite(r)
         out = np.zeros(r.shape)
+        # log-space keeps huge probe arguments (from scale-mixture integrands)
+        # from overflowing r**a or r**p
         lr = np.log(r[inside])
         logv = math.log(self.c) + self.a * lr
         if self.b > 0.0:
@@ -243,12 +236,6 @@ class TableDensity(Density):
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.xs, float), np.asarray(self.ys, float)
 
-    def value(self, r: float) -> float:
-        ax, ay = self._arrays
-        if r < ax[0] or r > ax[-1]:
-            return 0.0
-        return float(np.interp(r, ax, ay))
-
     def values(self, rs) -> np.ndarray:
         ax, ay = self._arrays
         r = np.asarray(rs, float)
@@ -298,14 +285,6 @@ class PowerImageDensity(Density):
         e = self.exponent
         object.__setattr__(self, "support", (lo ** e, hi ** e))
         object.__setattr__(self, "depth", self.base.depth)
-
-    def value(self, s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        if self.exponent == 2.0:
-            r = math.sqrt(s)
-            return self.base.value(r) / (2.0 * r)
-        return self.base.value(s * s) * 2.0 * s
 
     def values(self, ss) -> np.ndarray:
         s = np.asarray(ss, float)

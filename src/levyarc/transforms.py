@@ -65,11 +65,6 @@ class ArcsineDilationDensity(Density):
     support: tuple[float, float] = field(default=(0.0, 1.0), init=False)
     depth: int = field(default=0, init=False, repr=False, compare=False)
 
-    def value(self, u: float) -> float:
-        if not 0.0 < u < 1.0:
-            return 0.0
-        return TWO_OVER_PI / math.sqrt((1.0 - u) * (1.0 + u))
-
     def values(self, us) -> np.ndarray:
         u = np.asarray(us, float)
         out = np.zeros(u.shape)
@@ -242,8 +237,8 @@ def _abel_integrals(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, lo: f
 @dataclass(frozen=True, eq=False)
 class TransformedDensity(Density):
     """Radial density produced by a transform kernel from a source radial
-    component, evaluated by quadrature on demand; scalar reads are memoized
-    per point.
+    component, evaluated by quadrature on demand. Nothing is memoized per
+    point: value(r) is values() at the single radius r.
 
     The half-integral kernel and the scale-mixture kernel below subclass it
     and supply _sup, _compute_depth, _evaluate (on an array of radii inside
@@ -257,22 +252,11 @@ class TransformedDensity(Density):
     def __post_init__(self):
         object.__setattr__(self, "support", (0.0, self._sup()))
         object.__setattr__(self, "depth", self._compute_depth())
-        object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_cache", {})
-
-    def value(self, r: float) -> float:
-        memo = self._memo
-        got = memo.get(r)
-        if got is None:
-            got = float(self.values(np.array([r], float))[0])
-            if len(memo) < 200000:
-                memo[r] = got
-        return got
 
     def values(self, rs) -> np.ndarray:
         """The density at every radius of an array, evaluated as one batch.
-        A radius's value does not depend on the rest of the batch, so
-        value(r) == values([r])[0] bit for bit; only value() is memoized."""
+        A radius's value does not depend on the rest of the batch."""
         r = np.asarray(rs, float)
         lo, hi = self.support
         inside = np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0)
@@ -305,9 +289,16 @@ class TransformedDensity(Density):
                 r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
             except NotImplementedError:
                 pass
-            while r < 1e9 and max(self.value(r), self.value(0.7 * r)) * r > 1e-13:
-                r *= 2.0
-            cache["table_r"] = r
+            # the first r of the doubling ladder below 1e9 where the density
+            # at r and 0.7 r is at most 1e-13 / r, else the first beyond it;
+            # the ladder is read in one batch
+            ladder = [r]
+            while ladder[-1] < 1e9:
+                ladder.append(2.0 * ladder[-1])
+            rs = np.array(ladder[:-1])
+            vals = self.values(np.concatenate([rs, 0.7 * rs])).reshape(2, -1)
+            low = np.flatnonzero(vals.max(axis=0) * rs <= 1e-13)
+            cache["table_r"] = ladder[low[0] if low.size else -1]
         return cache["table_r"]
 
     def provenance_name(self) -> str:
