@@ -112,7 +112,8 @@ def _pieces(a: float, b: float, singular_left: bool, singular_right: bool,
     _INF    x = anchor + t/(1 - t) in the engine; lo and hi stay in x
             (hi = inf) and QUADPACK maps the range itself.
 
-    A blowup at both ends splits the range at its midpoint m. Interior
+    A finite range with a blowup at either end splits at its midpoint m;
+    only the half next to a blowup is mapped, the other is _PLAIN. Interior
     blowups split the range first, each becoming a singular end of the
     ranges on either side."""
     cuts: list[float] = []
@@ -145,15 +146,15 @@ def _pieces(a: float, b: float, singular_left: bool, singular_right: bool,
             cut = a + max(1.0, abs(a))
             return [piece(_LEFT, a, 0.0, math.sqrt(cut - a)), piece(_INF, cut, cut, math.inf)]
         return [piece(_INF, a, a, math.inf)]
-    if singular_left and singular_right:
-        mid = 0.5 * (a + b)
-        return [piece(_LEFT, a, 0.0, math.sqrt(mid - a)),
-                piece(_RIGHT, b, 0.0, math.sqrt(b - mid))]
-    if singular_left:
-        return [piece(_LEFT, a, 0.0, math.sqrt(b - a))]
-    if singular_right:
-        return [piece(_RIGHT, b, 0.0, math.sqrt(b - a))]
-    return [piece(_PLAIN, a, a, b)]
+    if not (singular_left or singular_right):
+        return [piece(_PLAIN, a, a, b)]
+    # the map stops at the midpoint: b - t**2 resolves x near a only to the
+    # absolute rounding of b, so the half away from a blowup stays plain
+    mid = 0.5 * (a + b)
+    return [piece(_LEFT, a, 0.0, math.sqrt(mid - a)) if singular_left
+            else piece(_PLAIN, a, a, mid),
+            piece(_RIGHT, b, 0.0, math.sqrt(b - mid)) if singular_right
+            else piece(_PLAIN, mid, mid, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +423,16 @@ def _refine(f, n: int, group: list[tuple[int, tuple[np.ndarray, ...]]], tol: np.
         err = np.concatenate([err[keep], c_err])
 
 
-def _decade_marks(lo: float, hi: float) -> list[float]:
-    """Break points one decade apart between max(lo, hi * 1e-12) and hi, when
-    that range spans more than four decades; none otherwise.
+def _decade_marks(lo: float, hi: float, start: float | None = None) -> list[float]:
+    """Break points one decade apart between max(lo, start) and hi, when
+    that range spans more than four decades; none otherwise. start defaults
+    to hi * 1e-12.
 
     A slowly decaying envelope can push a truncation radius many orders of
     magnitude past the scale where the mass sits, and the initial
     Gauss-Kronrod pass then never samples that region; a mark at every
     decade forces a subinterval at every scale."""
-    floor = max(lo, hi * 1e-12)
+    floor = max(lo, hi * 1e-12 if start is None else start)
     marks: list[float] = []
     if hi > 1e4 * floor:
         x = floor * 10.0

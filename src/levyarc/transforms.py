@@ -435,8 +435,9 @@ class _ScaleMixtureKernel(TransformedDensity):
         sing_hi = (t.singular_at_high() and math.isfinite(t_hi)) & (hi_u >= t_hi)
         if f_lo > 0.0 and f.singular_at_low():
             sing_hi |= np.isfinite(hi_u) & (hi_u >= (rs / f_lo) * (1 - 1e-12))
-        # the integrand is a bump in log u, so the range starts out cut at
-        # every decade; a table kinks at each knot x_k, which this integral
+        # the integrand is a bump in log u around u ~ r, so the range starts
+        # out cut at every decade from r * 1e-3 (or 1e-12 of the range, if
+        # lower) up; a table kinks at each knot x_k, which this integral
         # meets at u = r/x_k
         knots = np.asarray(f.xs if isinstance(f, TableDensity) else ())
         # the source's blowups at rho meet it at u = r/rho, the dilation's at
@@ -446,7 +447,13 @@ class _ScaleMixtureKernel(TransformedDensity):
 
         def points(k: int) -> Sequence[float]:
             lo, hi = float(lo_u[k]), float(hi_u[k])
-            marks = _decade_marks(lo, hi) if math.isfinite(hi) else []
+            marks = []
+            if math.isfinite(hi):
+                marks = _decade_marks(lo, hi, min(hi * 1e-12, float(rs[k]) * 1e-3))
+                if sing_hi[k]:
+                    # quad_batch maps the upper half by u = hi - w**2, where a
+                    # mark stalls on the rounding of hi - u
+                    marks = [m for m in marks if m < 0.5 * (lo + hi)]
             return np.concatenate([rs[k] / knots, marks]) if knots.size else marks
 
         def blowups(k: int) -> list[float]:

@@ -236,3 +236,39 @@ def test_char_exponent_on_an_array_of_points():
     assert char_exponent(t, [0.0]) == 0.0
     with pytest.raises(ValueError):
         char_exponent(t, np.zeros((3, 2)))
+
+
+def _ex2_cos_exponent_by_time_integral(z):
+    """log E exp(iz int_0^1 cos(pi t/2) dX_t) for X with triplet (0, EX2, 0),
+    as int_0^1 psi_X(z cos(pi t/2)) dt with scipy's quad in both variables;
+    x = w^2 turns the EX2 density (sqrt(pi)/4) x^(-1/2) e^(-x/4) dx into
+    (sqrt(pi)/2) e^(-w^2/4) dw."""
+    from scipy.integrate import quad
+
+    def inner(t, part):
+        a = z * math.cos(0.5 * math.pi * t)
+
+        def g(w):
+            x = w * w
+            v = cmath.exp(1j * a * x) - 1.0 - 1j * a * x / (1.0 + x * x)
+            return 0.5 * math.sqrt(math.pi) * math.exp(-x / 4.0) * (v.real, v.imag)[part]
+
+        return quad(g, 0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+    re = quad(lambda t: inner(t, 0), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)[0]
+    im = quad(lambda t: inner(t, 1), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12)[0]
+    return complex(re, im)
+
+
+def test_char_fn_of_ex2_under_cos_integrand(ex2_measure):
+    # the image density is arcsine2(EX2), which blows up like r^(-1/2); the
+    # outer integral reaches r ~ 1e-14, where the kernel must still converge
+    t = la.transform_triplet(la.Triplet([[0.0]], ex2_measure, [0.0]), "cos_pi_half")
+    zs = [(0.5,), (1.0,), (3.0,)]
+    ref = la.char_fn_grid(t, zs)
+    for (z,), v in zip(zs, ref.values):
+        assert v == la.char_fn(t, [z])
+        assert abs(v - cmath.exp(_ex2_cos_exponent_by_time_integral(z))) <= 1e-9
+    ss = la.sample_integral(la.Triplet([[0.0]], ex2_measure, [0.0]), "cos_pi_half",
+                            la.SimConfig(paths=200_000, eps=1e-4, seed=7))
+    assert la.cf_distance(la.empirical_cf(ss, zs), ref) <= 0.03

@@ -295,6 +295,36 @@ def test_density_values_match_value():
         assert np.all(np.abs(got[pos] - want[pos]) <= tol * want[pos]), d
 
 
+def test_value_is_values_at_one_point(ex2_measure, delta1):
+    # every built-in density and both kernels define values() alone and
+    # inherit value(); a user density with value() alone gets values()
+    from levyarc.transforms import (ArcsineDilationDensity, TransformedDensity,
+                                    _HalfIntegralKernel, _ScaleMixtureKernel)
+    for cls in (la.ExpPowerDensity, la.TableDensity, PowerImageDensity,
+                ArcsineDilationDensity, TransformedDensity, _HalfIntegralKernel,
+                _ScaleMixtureKernel):
+        assert "value" not in vars(cls), cls
+    table = la.tabulate_density(la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0), per_decade=16)
+    a1 = la.arcsine1(delta1).components[0][1].density
+    ups = la.upsilon0(ex2_measure).components[0][1].density
+    assert isinstance(a1, _HalfIntegralKernel) and isinstance(ups, _ScaleMixtureKernel)
+    assert not hasattr(ups, "_memo")
+    for d in (la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0), table, PowerImageDensity(table, 2.0),
+              PowerImageDensity(table, 0.5), la.arcsine_dilation().density, a1, ups, _Ramp()):
+        for r in (-1.0, 0.0, 1e-9, 0.3, 1.0, 1.7, 7.5, 1e100):
+            v = d.value(r)
+            assert type(v) is float
+            assert v == d.values(np.array([r]))[0], (d, r)
+
+
+def test_density_defining_neither_value_nor_values_raises():
+    class Bare(Density):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare().value(1.0)
+
+
 def test_integrate_calls_g_on_arrays():
     # the atom's radius as a one-element array, the density part on arrays of nodes
     seen = []

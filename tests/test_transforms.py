@@ -463,3 +463,17 @@ def test_scale_mixture_declares_blowup_at_its_supremum(delta1):
     two = la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 1.0)])
     d = _density(la.arcsine2(two))
     assert d.singular_at_high() and d.interior_singular_radii() == (0.5,)
+
+
+def test_arcsine2_of_ex2_near_zero(ex2_measure):
+    # the u-integral of the arcsine scale mixture has its mass near u ~ r;
+    # r^(1/2) a2(EX2)(r) tends to A = c int_0^1 u^(-1/2) (2/pi)(1 - u^2)^(-1/2) du
+    # with c = sqrt(pi)/4, and the next term is -r^(1/2)/2
+    A = (SQRT_PI / 4.0) * math.gamma(0.25) * math.gamma(0.5) / (math.pi * math.gamma(0.75))
+    assert A == pytest.approx(0.73966877979716, abs=1e-14)
+    d = _density(la.arcsine2(ex2_measure))
+    rs = np.geomspace(1e-20, 1e-12, 33)
+    got = np.sqrt(rs) * d.values(rs)
+    assert np.max(np.abs(got - (A - np.sqrt(rs) / 2.0))) <= 1e-13
+    for r in (1e-20, 1e-16, 9.984210577874086e-15, 1e-12):
+        assert math.sqrt(r) * d.value(r) == pytest.approx(A - math.sqrt(r) / 2.0, abs=1e-13)
