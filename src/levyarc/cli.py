@@ -2,14 +2,16 @@
 
 Verbs: transform, invert, classify, sample, verify, fixtures. All numeric
 tables are CSV with 17 significant digits; structured results are JSON. Errors
-leave a machine-readable JSON object on stderr and exit with 2 (usage), 3
-(domain or range failure), or 4 (quadrature non-convergence).
+leave a machine-readable JSON object on stderr and exit with 2 (bad arguments
+or input files), 3 (domain or range failure), or 4 (quadrature
+non-convergence). Any other exception is a bug and is not caught.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import classes as classes_mod
 from .errors import (DomainError, MalformedMeasure, NotInRange,
                      QuadratureNonConvergence, RangeError)
-from .mappings import Triplet
+from .mappings import INTEGRANDS, Triplet
 from .measures import (PolarMeasure, TableDensity, from_json, power_reparam,
                        tabulate_density, to_json)
 from .simulate import SimConfig, empirical_cf, sample_id, sample_integral
@@ -52,7 +54,9 @@ def _load_json(path: str) -> dict:
         raise _Usage(f"input file {path} is not valid JSON: {e}")
 
 
-def _parse_grid(text: str | None, default=None):
+def _parse_grid(text: str | None, default=None, positive: bool = False):
+    """LO:HI:PTS with finite LO < HI and PTS >= 2; positive asks for LO > 0,
+    as grids of radii need."""
     if text is None:
         return default
     parts = text.split(":")
@@ -62,8 +66,10 @@ def _parse_grid(text: str | None, default=None):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _Usage(f"--grid expects numeric LO:HI:PTS, got {text!r}")
-    if not (lo < hi and n >= 2):
-        raise _Usage(f"--grid needs LO < HI and PTS >= 2, got {text!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and n >= 2):
+        raise _Usage(f"--grid needs finite LO < HI and PTS >= 2, got {text!r}")
+    if positive and not lo > 0.0:
+        raise _Usage(f"--grid of radii needs LO > 0, got {text!r}")
     return lo, hi, n
 
 
@@ -130,7 +136,7 @@ def _tabulate_measure(m: PolarMeasure, grid) -> PolarMeasure:
 def _cmd_transform(args) -> int:
     m = from_json(_load_json(args.infile))
     out = _apply_chain(m, args.chain or "")
-    tabulated = _tabulate_measure(out, _parse_grid(args.grid))
+    tabulated = _tabulate_measure(out, _parse_grid(args.grid, positive=True))
     jpath = _out_path(args, "transformed.json")
     with open(jpath, "w") as fh:
         json.dump(to_json(tabulated), fh, indent=2)
@@ -150,8 +156,10 @@ def _cmd_invert(args) -> int:
     m = from_json(_load_json(args.infile))
     kwargs = {}
     if args.tol is not None:
+        if not (args.tol > 0.0 and math.isfinite(args.tol)):
+            raise _Usage(f"--tol must be positive and finite, got {args.tol}")
         kwargs["abs_tol"] = args.tol
-    dec = invert_arcsine1(m, _parse_grid(args.grid), **kwargs)
+    dec = invert_arcsine1(m, _parse_grid(args.grid, positive=True), **kwargs)
     cpath = _out_path(args, "tails.csv")
     with open(cpath, "w") as fh:
         fh.write("component,u,tail\n")
@@ -189,9 +197,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.integrand != "id" and args.integrand not in INTEGRANDS:
+        raise _Usage(f"unknown integrand {args.integrand!r}; known: id, {', '.join(INTEGRANDS)}")
     t = Triplet.from_json(_load_json(args.infile))
-    cfg = SimConfig(paths=args.paths, time_steps=args.steps, eps=args.eps,
-                    seed=args.seed)
+    try:
+        cfg = SimConfig(paths=args.paths, time_steps=args.steps, eps=args.eps,
+                        seed=args.seed)
+    except ValueError as e:
+        raise _Usage(str(e))
     if args.integrand == "id":
         ss = sample_id(t, cfg)
     else:
@@ -302,8 +315,6 @@ def main(argv=None) -> int:
         return _fail(2, "UsageError", str(e))
     except MalformedMeasure as e:
         return _fail(2, "MalformedMeasure", str(e))
-    except (ValueError, KeyError) as e:
-        return _fail(2, "UsageError", str(e))
     except (DomainError, RangeError, NotInRange) as e:
         return _fail(3, type(e).__name__, str(e))
     except QuadratureNonConvergence as e:

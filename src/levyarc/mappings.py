@@ -176,8 +176,11 @@ class Triplet:
 
     @staticmethod
     def from_json(obj: dict) -> "Triplet":
-        return Triplet(np.asarray(obj["Sigma"], float), from_json(obj["nu"]),
-                       np.asarray(obj["gamma"], float))
+        try:
+            sigma, nu, gamma = obj["Sigma"], obj["nu"], obj["gamma"]
+            return Triplet(np.asarray(sigma, float), from_json(nu), np.asarray(gamma, float))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedMeasure(f"cannot parse triplet JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -691,9 +691,9 @@ def _density_from_json(obj: dict) -> Density:
 
 
 def from_json(obj: dict | str) -> PolarMeasure:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
         d = int(obj["d"])
         comps = []
         for entry in obj.get("components", []):
@@ -702,5 +702,5 @@ def from_json(obj: dict | str) -> PolarMeasure:
             dens = _density_from_json(entry["density"]) if "density" in entry else None
             comps.append((dirn, RadialComponent(atoms, dens, float(entry.get("weight", 1.0)))))
         return PolarMeasure(d, tuple(comps))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise MalformedMeasure(f"cannot parse measure JSON: {exc}") from exc

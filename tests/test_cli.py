@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import levyarc as la
+from levyarc import cli as cli_mod
 from levyarc.cli import main
 
 
@@ -199,6 +200,33 @@ def test_malformed_measure_file_is_usage_error(workdir, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["sample", "warp", "--in", "poisson.json"], "UsageError"),
+    (["sample", "--paths", "0", "--in", "poisson.json"], "UsageError"),
+    (["sample", "--eps", "nan", "--in", "poisson.json"], "UsageError"),
+    (["sample", "--in", "delta1.json"], "MalformedMeasure"),
+    (["invert", "--grid", "0:1:3", "--in", "delta1.json"], "UsageError"),
+    (["invert", "--tol", "-1", "--in", "delta1.json"], "UsageError"),
+    (["transform", "--grid", "-1:1:3", "--in", "delta1.json"], "UsageError"),
+])
+def test_input_errors_exit_2(workdir, capsys, argv, kind):
+    # a measure file is not a triplet: its missing Sigma is malformed input
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    assert run(*argv, "--out", workdir / "o") == 2
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == kind
+
+
+def test_internal_errors_are_not_usage_errors(workdir, monkeypatch):
+    # only input errors map to exit 2; a ValueError raised inside an
+    # operation is a bug and surfaces as one
+    def broken(m):
+        raise ValueError("internal")
+
+    monkeypatch.setitem(cli_mod._CLASS_TESTS, "jurek", broken)
+    with pytest.raises(ValueError, match="internal"):
+        run("classify", "jurek", "--in", workdir / "delta1.json", "--out", workdir / "o")
+
+
 def test_csv_round_trips_full_precision(workdir):
     out = workdir / "prec"
     assert run("transform", "--chain", "a1", "--in", workdir / "delta1.json",
@@ -208,3 +236,112 @@ def test_csv_round_trips_full_precision(workdir):
     for row in (out / "transformed.csv").read_text().strip().splitlines()[1:]:
         _, r, val = row.split(",")
         assert float(val) == d.value(float(r))
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every outcome is an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+_EXP_POWER = {"kind": "exp_power", "c": 0.785, "a": -0.5, "b": 1.0, "p": 0.5, "support": [0.0, None]}
+_TABLE = {"kind": "table", "xs": [0.1, 0.5, 1.0], "ys": [1.0, 0.5, 0.0]}
+_MEASURE = {"d": 1, "components": [
+    {"direction": [1.0], "weight": 1.0, "atoms": [[1.0, 1.0]], "density": _EXP_POWER}]}
+_MEASURES = [_MEASURE, {"d": 1, "components": [{"direction": [1.0], "density": _TABLE}]},
+             {"d": 2, "components": [{"direction": [0.6, 0.8], "atoms": [[0.5, 2.0]]}]}]
+_TRIPLET = {"Sigma": [[0.5]], "nu": _MEASURE, "gamma": [0.1]}
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([0, 1, -1, 2, 0.5, -0.5, 3.5, float("nan"), float("inf"), -float("inf")]))
+_json = st.recursive(_scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=3),
+    st.dictionaries(st.sampled_from(["d", "components", "direction", "weight", "atoms",
+                                     "density", "kind", "c", "a", "b", "p", "support",
+                                     "xs", "ys", "Sigma", "nu", "gamma"]), kids, max_size=4)),
+    max_leaves=8)
+
+
+def _paths(doc, here=()):
+    """Every key or index path inside a JSON document."""
+    yield here
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, here + (k,))
+
+
+@st.composite
+def _documents(draw, bases):
+    """Fuzzed JSON, or one of bases with one value replaced by fuzzed JSON
+    or one key dropped."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_json)
+    doc = json.loads(json.dumps(draw(st.sampled_from(bases))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(_json)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_json)
+    return doc
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_fuzzed_json_parses_or_raises_malformed(data):
+    for parse, bases in ((la.from_json, _MEASURES), (la.Triplet.from_json, [_TRIPLET])):
+        doc = data.draw(_documents(bases))
+        try:
+            parse(doc)
+        except la.MalformedMeasure:
+            pass
+
+
+def _cli_exit(argv, doc):
+    import contextlib
+    import io
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/in.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return main([a.replace("IN", path).replace("OUT", tmp) for a in argv])
+
+
+_grids = st.sampled_from(["0.1:2:3", "0:1:3", "-1:1:3", "1:0:3", "1:2", "a:b:c", "1:2:1",
+                          "nan:1:3", "1:inf:3", "1e-3:100:4"])
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_fuzzed_cli_verbs_end_in_an_exit_code(data):
+    verb = data.draw(st.sampled_from(["classify", "invert", "sample", "transform"]))
+    if verb == "sample":
+        doc = data.draw(_documents([_TRIPLET]))
+        argv = ["sample", data.draw(st.sampled_from(["id", "cos_pi_half", "log", "warp"])),
+                "--paths", data.draw(st.sampled_from(["3", "0", "-2", "x", "1.5"])),
+                "--eps", data.draw(st.sampled_from(["1e-3", "0.5", "0", "-1", "nan", "inf", "x"])),
+                "--steps", data.draw(st.sampled_from(["10", "0", "x"])),
+                "--seed", data.draw(st.sampled_from(["0", "-3", "x"])),
+                "--grid", data.draw(_grids)]
+    else:
+        doc = data.draw(_documents(_MEASURES))
+        argv = {"classify": lambda: ["classify"] + data.draw(st.lists(st.sampled_from(
+                    ["jurek", "class_a", "type_g", "class_b", "galois"]), max_size=2)),
+                "invert": lambda: ["invert", "--grid", data.draw(_grids), "--tol",
+                                   data.draw(st.sampled_from(["1e-10", "0", "-1", "nan", "x"]))],
+                "transform": lambda: ["transform", "--grid", data.draw(_grids), "--chain",
+                                      data.draw(st.sampled_from(["", "a1", "a2", "ups0", "pow2",
+                                                                 "powhalf", "ups:-1:1", "ups:3:1",
+                                                                 "ups:x", "warp"]))]}[verb]()
+    argv += ["--in", "IN", "--out", "OUT"]
+    assert _cli_exit(argv, doc) in (0, 2, 3, 4)
