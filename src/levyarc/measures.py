@@ -250,7 +250,9 @@ class TableDensity(Density):
             return 0.0
         cuts = np.unique(np.concatenate([[lo, hi], ax[(ax > lo) & (ax < hi)]]))
         vals = np.interp(cuts, ax, ay)
-        return float(np.trapezoid(vals, cuts))
+        # the trapezoid sum written out as numpy's trapezoid forms it, which
+        # numpy 1.x lacks
+        return float((np.diff(cuts) * (vals[1:] + vals[:-1]) / 2.0).sum())
 
     def knots_inside(self, lo: float, hi: float) -> list[float]:
         ax = self._arrays[0]
