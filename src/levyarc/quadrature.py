@@ -19,7 +19,10 @@ Both apply the manipulations that recur throughout this package:
 
 * integrable inverse-square-root endpoint singularities, removed by the
   substitution u = a + w**2 (or u = b - w**2 at the upper end), which turns
-  a (u-a)**(-1/2) blowup into a bounded smooth integrand;
+  a (u-a)**(-1/2) blowup into a bounded smooth integrand. On a finite range
+  the substitution covers only the half next to the blowup and the other
+  half stays in u: b - w**2 resolves u near a only to the absolute rounding
+  of b, which loses an integrand whose mass sits at u << b;
 
 * break points (kinks, blowups, decade marks), mapped through the
   substitution in force, so every subinterval starts out smooth;

@@ -53,6 +53,16 @@ def test_a1_preserves_total_mass(atoms):
     assert got == pytest.approx(total, rel=1e-7)
 
 
+@pytest.mark.xfail(raises=QuadratureNonConvergence, strict=True,
+                   reason="blowups 5e-7 apart are read through the squared radius, "
+                          "whose rounding the endpoint map cannot resolve")
+def test_a1_preserves_mass_of_near_coincident_atoms():
+    # a known failure of the a1 mass identity, found by the property test above
+    img = la.arcsine1(la.half_line_measure(atoms=[(1.0, 1.0), (1.000001, 1.0)]))
+    got = integrate(img.components[0][1], lambda r: 1.0, (0.0, math.inf), abs_tol=1e-9)
+    assert got == pytest.approx(2.0, rel=1e-7)
+
+
 def test_a1_rejects_non_l1_source():
     src = la.half_line_measure(density=la.ExpPowerDensity(1.0, -2.5, 1.0, 1.0))
     with pytest.raises(DomainError):
