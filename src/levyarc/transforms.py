@@ -289,16 +289,14 @@ class TransformedDensity(Density):
                 r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
             except NotImplementedError:
                 pass
-            # the first r of the doubling ladder below 1e9 where the density
-            # at r and 0.7 r is at most 1e-13 / r, else the first beyond it;
-            # the ladder is read in one batch
-            ladder = [r]
-            while ladder[-1] < 1e9:
-                ladder.append(2.0 * ladder[-1])
-            rs = np.array(ladder[:-1])
+            # the first r 2**k below 1e9 (r >= 1) where the density at it and
+            # at 0.7 of it is at most 1e-13 over it, else the first above 1e9;
+            # the whole ladder is read in one batch
+            rs = min(r, 1e9) * 2.0 ** np.arange(31)
+            rs = rs[rs < 1e9]
             vals = self.values(np.concatenate([rs, 0.7 * rs])).reshape(2, -1)
             low = np.flatnonzero(vals.max(axis=0) * rs <= 1e-13)
-            cache["table_r"] = ladder[low[0] if low.size else -1]
+            cache["table_r"] = float(rs[low[0]]) if low.size else r * 2.0 ** rs.size
         return cache["table_r"]
 
     def provenance_name(self) -> str:

@@ -173,9 +173,7 @@ def _jump_values(rc, rs: np.ndarray) -> np.ndarray:
     """Density of a radial component at rs, plus the mass of any atom sitting
     exactly at a radius."""
     out = rc.density.values(rs) if rc.density is not None else np.zeros(rs.shape)
-    for loc, mass in rc.atoms:
-        out = out + mass * (rs == loc)
-    return out
+    return out + sum(mass * (rs == loc) for loc, mass in rc.atoms)
 
 
 def _check_cosmap():
