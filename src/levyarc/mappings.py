@@ -25,6 +25,12 @@ cos_pi_half's dilation is exactly the arcsine dilation on (0, 1), which ties
 the triplet calculus to the second arcsine transform; log gives the
 exponential dilation, log_sqrt gives 2 s e^(-s^2) ds, and gauss_tail_inverse
 gives e^(-u^2) du.
+
+Each operation is one engine batch: transform_triplet solves the drift
+integrals of all polar components as one batch over tau_f, and char_exponent
+solves the real and imaginary integrals of all points as one batch per
+direction. An integral's value does not depend on the rest of its batch, so
+the results are those of one integral at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from scipy.special import erfc, erfcinv
 
 from .errors import GridMismatch, MalformedMeasure
 from .measures import (ExpPowerDensity, PolarMeasure, RadialComponent,
-                       from_json, integrate, integrate_batch, to_json, validate)
+                       from_json, integrate_batch, to_json, validate)
 from .transforms import (DilationMeasure, arcsine_dilation, exp_dilation,
                          power_exp_dilation, upsilon_tau)
 
@@ -82,7 +88,6 @@ class IntegrandSpec:
     lin_integral: float
     sq_integral: float
     tau_factory: Callable[[], DilationMeasure]
-    square_integrable: bool = True
 
     def tau(self) -> DilationMeasure:
         return self.tau_factory()
@@ -193,9 +198,11 @@ def char_exponent(t: Triplet, z: Sequence[float] | np.ndarray, *,
     -(1/2)<Sigma z, z> + i<gamma, z>
     + sum_xi w_xi int (e^{i r s} - 1 - i r s/(1+r^2)) nu_xi(dr),  s = <xi, z>.
 
-    z is one point (length d) or an (n, d) array of points; the radial
-    integrals of all points are solved as one batch per direction, and the
-    result is a complex number or an array of n of them.
+    z is one point (length d) or an (n, d) array of points, and the result
+    is a complex number or an array of n of them. Per direction, the real
+    and the imaginary radial integrals of all points are solved as one
+    batch of 2n integrals, so a kernel density is read once per distinct
+    node (see integrate_batch).
     """
     zv = np.asarray(z, float)
     single = zv.ndim <= 1
@@ -209,11 +216,14 @@ def char_exponent(t: Triplet, z: Sequence[float] | np.ndarray, *,
         s = zs @ dirn.array
         if not s.any():
             continue
-        re = integrate_batch(rc, lambda r, k: np.cos(r * s[k]) - 1.0, n, (0.0, math.inf),
-                             abs_tol=abs_tol, g_moment=0.0)
-        im = integrate_batch(rc, lambda r, k: np.sin(r * s[k]) - r * s[k] / (1.0 + r * r), n,
-                             (0.0, math.inf), abs_tol=abs_tol, g_moment=0.0)
-        val = val + rc.weight * (re + 1j * im)
+
+        def g(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+            # integrals k < n are the real parts, n <= k < 2n the imaginary ones
+            rs = r * s[k % n]
+            return np.where(k < n, np.cos(rs) - 1.0, np.sin(rs) - rs / (1.0 + r * r))
+
+        both = integrate_batch(rc, g, 2 * n, (0.0, math.inf), abs_tol=abs_tol, g_moment=0.0)
+        val = val + rc.weight * (both[:n] + 1j * both[n:])
     return complex(val[0]) if single else val
 
 
@@ -267,6 +277,40 @@ def _centering_shift(rc, us: np.ndarray, abs_tol: float) -> np.ndarray:
     return integrate_batch(rc, g, us.size, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
 
 
+def _drift_integrand(comps: Sequence[RadialComponent], abs_tol: float):
+    """g(u, k) = u * (centering shift of comps[k] at u), on arrays of nodes u
+    and component indices k.
+
+    The atoms of all components are evaluated at once: each node is repeated
+    once per atom of its component and the terms are summed back in atom
+    order, the order integrate_batch adds them in. A component's density
+    part goes through _centering_shift on the nodes of that component."""
+    counts = np.array([len(rc.atoms) for rc in comps])
+    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    locs = np.array([loc for rc in comps for loc, _ in rc.atoms])
+    masses = np.array([mass for rc in comps for _, mass in rc.atoms])
+    densities = [(c, RadialComponent((), rc.density)) for c, rc in enumerate(comps)
+                 if rc.density is not None]
+
+    def g(us: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        reps = counts[ks]
+        node = np.repeat(np.arange(us.size), reps)
+        # the atom of each copy: its component's first atom plus the copy's
+        # rank among the copies of its node
+        atom = np.arange(node.size) + np.repeat(first[ks] - (np.cumsum(reps) - reps), reps)
+        r = locs[atom]
+        rr = r * r
+        terms = r * (1.0 / (1.0 + (us * us)[node] * rr) - 1.0 / (1.0 + rr)) * masses[atom]
+        shift = np.bincount(node, terms, minlength=us.size).astype(float, copy=False)
+        for c, dens in densities:
+            sel = np.flatnonzero(ks == c)
+            if sel.size:
+                shift[sel] += _centering_shift(dens, us[sel], abs_tol)
+        return us * shift
+
+    return g
+
+
 def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:
     """Triplet of the law of the integral of f against the Levy process whose
     time-1 law has triplet t.
@@ -274,18 +318,20 @@ def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:
     The drift correction integrates, over the dilation measure, the mismatch
     between the centering term evaluated at scaled and unscaled jump sizes;
     that is the change-of-variables form of the time integral of the
-    integrand against the centering defect."""
+    integrand against the centering defect. The corrections of all polar
+    components are solved as one batch over the dilation measure; each is
+    independent of the others, so the batch gives the values one integral
+    per component would."""
     spec = integrand(f)
     sigma_out = spec.sq_integral * t.Sigma
     nu_out = upsilon_tau(t.nu, spec.tau()) if not t.nu.is_zero() else t.nu
     gamma_out = spec.lin_integral * t.gamma.copy()
     if not t.nu.is_zero():
-        tau = spec.tau()
+        comps = [rc for _, rc in t.nu.components]
+        vals = integrate_batch(spec.tau(), _drift_integrand(comps, 1e-12), len(comps),
+                               (0.0, math.inf), abs_tol=1e-10, g_moment=1.0)
         corr = np.zeros(t.d)
-        for dirn, rc in t.nu.components:
-            val = integrate(
-                tau, lambda u: u * _centering_shift(rc, u, 1e-12),
-                (0.0, math.inf), abs_tol=1e-10, g_moment=1.0)
+        for (dirn, rc), val in zip(t.nu.components, vals):
             corr += rc.weight * val * dirn.array
         gamma_out = gamma_out + corr
     return Triplet(sigma_out, nu_out, gamma_out)

@@ -550,6 +550,12 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
     can be truncated at a radius whose certified remainder is below
     abs_tol/10; densities without an envelope are integrated on the
     infinite interval directly.
+
+    When n > 1 and the density's depth is positive (each read runs a
+    quadrature), the density is read once per distinct node of a pass:
+    integrals that share a partition meet the same nodes. A density's value
+    at a radius must not depend on the other radii it is read with, as for
+    every built-in density, so the values are those of n separate calls.
     """
     a, b = _interval(interval)
     ks = np.arange(n)
@@ -600,7 +606,16 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
         points += _decade_marks(lo, hi)
     pts = np.asarray(points, float)
     blowups = dens.interior_singular_radii()
-    return quad_batch(lambda r, k: g(r, k) * dens.values(r), n, lo, hi,
+    if n == 1 or dens.depth == 0:
+        def f(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+            return g(r, k) * dens.values(r)
+    else:
+        # a kernel costs a quadrature per read; a closed form is cheaper to
+        # read at every node than to sort the nodes
+        def f(r: np.ndarray, k: np.ndarray) -> np.ndarray:
+            nodes, back = np.unique(r, return_inverse=True)
+            return g(r, k) * dens.values(nodes)[back]
+    return quad_batch(f, n, lo, hi,
                       abs_tol=abs_tol, singular_left=sing_lo, singular_right=sing_hi,
                       points=lambda k: pts, blowups=lambda k: blowups,
                       label="radial integral")

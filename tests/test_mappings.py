@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import levyarc as la
 from levyarc.errors import GridMismatch, MalformedMeasure
-from levyarc.mappings import char_exponent, gauss_tail, gauss_tail_inverse, integrand
+from levyarc.mappings import (_centering_shift, char_exponent, gauss_tail, gauss_tail_inverse,
+                              integrand)
 from levyarc.quadrature import adaptive_quad
 
 SQRT_PI = math.sqrt(math.pi)
@@ -155,6 +156,77 @@ def test_transform_triplet_with_dilation_atoms_matches_scaling():
     assert out.gamma[0] == pytest.approx(0.06969045672383528, rel=1e-12)
     assert out.Sigma[0][0] == pytest.approx(1.0, rel=1e-15)
 
+
+
+def _mixed_components_triplet():
+    # one component of each kind: a single atom, three atoms, atoms with a
+    # density, a density alone and a table
+    table = la.tabulate_density(la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0), 1e-3, 30.0)
+    comps = (
+        ((1.0, 0.0), la.RadialComponent(((0.7, 0.3),), None, 0.5)),
+        ((0.0, 1.0), la.RadialComponent(((0.2, 1.0), (1.3, 0.4), (3.0, 0.1)), None, 1.2)),
+        ((-1.0, 0.0), la.RadialComponent(((0.5, 0.2), (2.0, 0.3)),
+                                         la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0), 0.7)),
+        ((0.0, -1.0), la.RadialComponent((), la.ExpPowerDensity(0.5, -0.5, 2.0, 1.0), 0.9)),
+        ((1.0, 1.0), la.RadialComponent((), table, 0.4)),
+    )
+    nu = la.PolarMeasure(2, tuple((la.Direction.normalized(d), rc) for d, rc in comps))
+    return la.Triplet(0.3 * np.eye(2), nu, [0.2, 0.1])
+
+
+def _gamma_component_by_component(t, f):
+    # the drift as one integral over the dilation measure per component
+    spec = integrand(f)
+    corr = np.zeros(t.d)
+    for dirn, rc in t.nu.components:
+        val = la.integrate(spec.tau(), lambda u: u * _centering_shift(rc, u, 1e-12),
+                           (0.0, math.inf), abs_tol=1e-10, g_moment=1.0)
+        corr += rc.weight * val * dirn.array
+    return spec.lin_integral * t.gamma + corr
+
+
+@pytest.mark.parametrize("f", ["cos_pi_half", "log", "log_sqrt", "gauss_tail_inverse",
+                               _step_spec("step", [0.5, 2.0])], ids=lambda f: getattr(f, "name", f))
+def test_transform_triplet_drift_batch_matches_component_loop(f):
+    # one batch over all components gives each component's own integral, bit for bit
+    t = _mixed_components_triplet()
+    out = la.transform_triplet(t, f)
+    assert out.gamma.tobytes() == _gamma_component_by_component(t, f).tobytes()
+
+
+def test_transform_triplet_drift_is_one_engine_call(monkeypatch):
+    from levyarc import measures, transforms
+
+    calls = []
+    for mod in (measures, transforms):
+        orig = mod.quad_batch
+        monkeypatch.setattr(mod, "quad_batch",
+                            lambda *a, _orig=orig, **kw: calls.append(1) or _orig(*a, **kw))
+    rng = np.random.default_rng(3)
+    ang = rng.uniform(0.0, 2.0 * math.pi, 256)
+    comps = tuple((la.Direction.normalized((math.cos(a), math.sin(a))),
+                   la.RadialComponent(((float(rng.uniform(0.5, 1.5)), 1.0 / 256),)))
+                  for a in np.sort(ang))
+    t = la.Triplet(np.zeros((2, 2)), la.PolarMeasure(2, comps), [0.0, 0.0])
+    out = la.transform_triplet(t, "cos_pi_half")
+    assert len(calls) == 1
+    assert out.gamma.tobytes() == _gamma_component_by_component(t, "cos_pi_half").tobytes()
+
+
+def test_char_exponent_solves_real_and_imaginary_parts_together(ex2_measure):
+    # the one batch of 2n integrals equals a real and an imaginary integral per point
+    t = la.transform_triplet(la.Triplet([[0.0]], ex2_measure, [0.0]), "cos_pi_half")
+    (dirn, rc), = t.nu.components
+    zs = np.array([[0.3], [1.7], [4.2]])
+    got = char_exponent(t, zs)
+    for z, v in zip(zs, got):
+        s = float(z @ dirn.array)
+        re = la.integrate(rc, lambda r: np.cos(r * s) - 1.0, (0.0, math.inf),
+                          abs_tol=1e-10, g_moment=0.0)
+        im = la.integrate(rc, lambda r: np.sin(r * s) - r * s / (1.0 + r * r), (0.0, math.inf),
+                          abs_tol=1e-10, g_moment=0.0)
+        want = (-0.5 * float(z @ t.Sigma @ z) + 1j * float(z @ t.gamma)) + rc.weight * (re + 1j * im)
+        assert v == want
 
 # ---------------------------------------------------------------------------
 # integrand catalog

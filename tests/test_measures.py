@@ -322,3 +322,34 @@ def test_integrate_batch_matches_single_integrals():
     got = integrate_batch(rc, lambda r, k: np.cos(r * zs[k]) - 1.0, zs.size, (0.0, math.inf))
     for z, v in zip(zs, got):
         assert v == integrate(rc, lambda r: np.cos(r * z) - 1.0, (0.0, math.inf))
+
+
+class _RecordingDensity(Density):
+    """int_0^1 (1 + t) e^(-r t) dt on (0, 5] by 20-point Gauss-Legendre, so one
+    nested quadrature level; records every array of radii it is read at."""
+
+    support = (0.0, 5.0)
+    depth = 1
+
+    def __init__(self):
+        self.calls = []
+
+    def values(self, rs):
+        r = np.asarray(rs, float)
+        self.calls.append(r.copy())
+        t, w = np.polynomial.legendre.leggauss(20)
+        t = 0.5 * (t + 1.0)
+        return (0.5 * w * (1.0 + t) * np.exp(-np.multiply.outer(r, t))).sum(axis=-1)
+
+
+def test_integrate_batch_reads_the_density_once_per_distinct_node():
+    # three integrals share one partition, so every pass meets repeated nodes
+    dens = _RecordingDensity()
+    rc = la.RadialComponent((), dens)
+    scale = np.array([0.5, 1.0, 3.0])
+    got = integrate_batch(rc, lambda r, k: np.cos(r * scale[k]), scale.size, (0.0, math.inf))
+    assert dens.calls
+    for r in dens.calls:
+        assert np.unique(r).size == r.size
+    for s, v in zip(scale, got):
+        assert v == integrate(rc, lambda r: np.cos(r * s), (0.0, math.inf))
