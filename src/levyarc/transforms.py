@@ -24,24 +24,49 @@ same computation twice.
 The half-integral kernel and the inversion of a1 share one Abel evaluator,
 int g(s) (s - x)^(-1/2) ds; the inversion reads it with g(s) = dens(sqrt(s)).
 
-Nesting discipline: each kernel whose source carries a density adds one
-quadrature level. Two levels are evaluated exactly (outer tolerance 1e-10,
-inner 1e-12); beyond that the intermediate density is tabulated on a fine
-geometric grid before the next kernel is applied.
+Chain rewrite: scale mixtures compose by the multiplicative convolution of
+their dilations, Upsilon_sigma o Upsilon_tau = Upsilon_(sigma * tau), and with
+P_p the image under r -> r**p, a1 = Upsilon_arcsine o P_(1/2) and
+P_p o Upsilon_tau = Upsilon_(P_p tau) o P_p. So a depth-2 chain of an a1 and a
+scale mixture is one scale mixture of the source's power image:
+
+* a1 o Upsilon_tau = Upsilon_(arcsine * P_(1/2) tau) o P_(1/2);
+* Upsilon_sigma o a1 = Upsilon_(sigma * arcsine) o P_(1/2).
+
+arcsine1() and the scale mixtures (arcsine2, upsilon_tau and what calls them)
+take that single integral whenever the composed dilation is in this table of
+closed forms, the component is atom-free, the intermediate density is an
+untabulated kernel with atom-free dilations, and its source density is absent
+or exp_power (whose power image is exact):
+
+* arcsine * c u e^(-b u^2) du = c (pi b)^(-1/2) e^(-b v^2) dv, the
+  half-normal; P_(1/2) of e^(-u) du and the (-2, 2) power-exp dilation are
+  both 2 u e^(-u^2) du;
+* arcsine * c e^(-b u) du = (2c/pi) K0(b v) dv;
+* arcsine * arcsine = (2/pi)^2 K(1 - v^2) dv on (0, 1).
+
+The rewritten kernel keeps the chain's provenance name. Every other chain
+nests: each kernel whose source carries a density adds one quadrature level.
+Two levels are evaluated exactly (outer tolerance 1e-10, inner 1e-12); beyond
+that the intermediate density is tabulated on a fine geometric grid before
+the next kernel is applied.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy.special import ellipkm1, k0
 
 from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
-                       PolarMeasure, RadialComponent, TableDensity, integrate,
-                       power_reparam, tabulate_density, validate)
+                       PolarMeasure, RadialComponent, TableDensity,
+                       _power_map_density, integrate, power_reparam,
+                       tabulate_density, validate)
 from .quadrature import _decade_marks, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
@@ -100,6 +125,69 @@ def power_exp_dilation(alpha: float, beta: float) -> DilationMeasure:
     if not (0.0 < beta <= 2.0):
         raise DomainError(f"beta must lie in (0, 2], got {beta}")
     return RadialComponent((), ExpPowerDensity(beta, -alpha - 1.0, 1.0, beta), 1.0)
+
+
+@dataclass(frozen=True)
+class _BesselK0DilationDensity(Density):
+    """(2c/pi) K0(b v) on (0, oo): the arcsine dilation composed with
+    c e^(-b u) du."""
+
+    c: float
+    b: float
+    support: tuple[float, float] = field(default=(0.0, math.inf), init=False)
+    depth: int = field(default=0, init=False, repr=False, compare=False)
+
+    def values(self, vs) -> np.ndarray:
+        v = np.asarray(vs, float)
+        out = np.zeros(v.shape)
+        inside = (v > 0.0) & np.isfinite(v)
+        out[inside] = (TWO_OVER_PI * self.c) * k0(self.b * v[inside])
+        return out
+
+    def singular_at_low(self) -> bool:
+        return True
+
+    def tail_all_moments(self) -> bool:
+        return True
+
+    @cached_property
+    def _envelope(self) -> ExpPowerDensity:
+        # K0(x) < (pi/(2x))^(1/2) e^(-x) for x > 0
+        return ExpPowerDensity(self.c * math.sqrt(2.0 / (math.pi * self.b)), -0.5, self.b, 1.0)
+
+    def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
+        return self._envelope.weighted_tail_radius(tol, moment)
+
+    def provenance_name(self) -> str:
+        return "k0_dilation"
+
+
+@dataclass(frozen=True)
+class _EllipticDilationDensity(Density):
+    """(2/pi)^2 K(1 - v^2) on (0, 1): the arcsine dilation composed with
+    itself; K is the complete elliptic integral of the first kind."""
+
+    support: tuple[float, float] = field(default=(0.0, 1.0), init=False)
+    depth: int = field(default=0, init=False, repr=False, compare=False)
+
+    def values(self, vs) -> np.ndarray:
+        v = np.asarray(vs, float)
+        out = np.zeros(v.shape)
+        inside = (v > 0.0) & (v <= 1.0)
+        vi = v[inside]
+        # below 1e-8, K(1 - v^2) = log(4/v) to double precision, and v^2 may
+        # underflow to the pole of ellipkm1
+        small = vi < 1e-8
+        kv = ellipkm1(np.where(small, 0.5, vi * vi))
+        kv[small] = np.log(4.0 / vi[small])
+        out[inside] = (TWO_OVER_PI * TWO_OVER_PI) * kv
+        return out
+
+    def singular_at_low(self) -> bool:
+        return True
+
+    def provenance_name(self) -> str:
+        return "elliptic_dilation"
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +650,72 @@ def _maybe_tabulated(dens: TransformedDensity) -> Density:
 
 
 # ---------------------------------------------------------------------------
+# the chain rewrite
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _ChainKernel(_ScaleMixtureKernel):
+    """A depth-2 chain rewritten as one scale mixture of the power image of
+    its source; name is the chain's provenance, e.g. a1(upsilon(exp_power))."""
+
+    def provenance_name(self) -> str:
+        return self.name
+
+
+def _arcsine_composed(rho: DilationMeasure) -> Density | None:
+    """The density of arcsine * rho (the law of U V for independent U ~
+    arcsine and V ~ rho), where the table of closed forms has it."""
+    d = rho.density
+    if rho.atoms or d is None:
+        return None
+    if isinstance(d, ArcsineDilationDensity):
+        return _EllipticDilationDensity()
+    if isinstance(d, ExpPowerDensity) and d.support == (0.0, math.inf):
+        if d.a == 1.0 and d.p == 2.0:
+            return ExpPowerDensity(d.c / math.sqrt(math.pi * d.b), 0.0, d.b, 2.0)
+        if d.a == 0.0 and d.p == 1.0:
+            return _BesselK0DilationDensity(d.c, d.b)
+    return None
+
+
+def _chain_kernel(rc: RadialComponent, outer: str,
+                  sigma: DilationMeasure | None) -> _ChainKernel | None:
+    """The chain outer(rc) as one scale mixture, or None where it must nest.
+
+    outer is a1 when sigma is None and the scale mixture against sigma
+    otherwise. The rewrite needs an atom-free rc whose density is a kernel
+    of the other kind over a source with an exact power image (atoms, an
+    exp_power density or both), and a table entry for the composed dilation.
+    """
+    inner = rc.density
+    if rc.atoms or not isinstance(inner, (_HalfIntegralKernel, _ScaleMixtureKernel)):
+        return None
+    src = inner.source
+    if src.density is not None and not isinstance(src.density, ExpPowerDensity):
+        return None
+    if sigma is not None and isinstance(inner, _HalfIntegralKernel) and inner.power == 2.0:
+        # Upsilon_sigma o a1 = Upsilon_(sigma * arcsine) o P_(1/2)
+        tau = _arcsine_composed(sigma)
+    elif (sigma is None and isinstance(inner, _ScaleMixtureKernel)
+          and not inner.dilation.atoms and inner.dilation.density is not None):
+        # a1 o Upsilon_tau = Upsilon_(arcsine * P_(1/2) tau) o P_(1/2)
+        tau = _arcsine_composed(RadialComponent(
+            (), _power_map_density(inner.dilation.density, 0.5), 1.0))
+    else:
+        return None
+    if tau is None:
+        return None
+    half = RadialComponent(tuple((loc ** 0.5, m) for loc, m in src.atoms),
+                           None if src.density is None else _power_map_density(src.density, 0.5),
+                           rc.weight)
+    return _ChainKernel(half, f"{outer}({inner.provenance_name()})", RadialComponent((), tau, 1.0))
+
+
+def _scale_mixture(rc: RadialComponent, name: str, tau: DilationMeasure) -> TransformedDensity:
+    return _chain_kernel(rc, name, tau) or _ScaleMixtureKernel(rc, name, tau)
+
+
+# ---------------------------------------------------------------------------
 # public transforms
 # ---------------------------------------------------------------------------
 
@@ -580,8 +734,8 @@ def arcsine1(m: PolarMeasure) -> PolarMeasure:
     """First arcsine transform. Needs the radial first-moment condition near
     zero (levy_l1); the output is again a valid polar measure, atom-free."""
     _require(m, "levy_l1", "arcsine1")
-    return m.map_components(
-        lambda rc: _kernel_component(_HalfIntegralKernel(rc, "a1", 2.0, TWO_OVER_PI)))
+    return m.map_components(lambda rc: _kernel_component(
+        _chain_kernel(rc, "a1", None) or _HalfIntegralKernel(rc, "a1", 2.0, TWO_OVER_PI)))
 
 
 def arcsine2(m: PolarMeasure) -> PolarMeasure:
@@ -589,7 +743,7 @@ def arcsine2(m: PolarMeasure) -> PolarMeasure:
     arcsine dilation on (0, 1). Valid on any measure passing the levy check."""
     _require(m, "levy", "arcsine2")
     tau = arcsine_dilation()
-    return m.map_components(lambda rc: _kernel_component(_ScaleMixtureKernel(rc, "a2", tau)))
+    return m.map_components(lambda rc: _kernel_component(_scale_mixture(rc, "a2", tau)))
 
 
 def arcsine2_direct(m: PolarMeasure) -> PolarMeasure:
@@ -621,7 +775,7 @@ def upsilon_tau(m: PolarMeasure, tau: DilationMeasure) -> PolarMeasure:
                          or (rc.density is not None and (tau.atoms or tau.density is not None)))
         dens = None
         if needs_density:
-            dens = _maybe_tabulated(_ScaleMixtureKernel(rc, "upsilon", tau))
+            dens = _maybe_tabulated(_scale_mixture(rc, "upsilon", tau))
         return RadialComponent(atoms, dens, rc.weight)
 
     out = m.map_components(mapper)

@@ -2,9 +2,12 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import integrate as sp_integrate
+from scipy.special import ellipkm1, k0
 
 import levyarc as la
 from levyarc import cli as cli_mod
@@ -80,6 +83,34 @@ def test_transform_of_written_table(workdir):
         _, r, val = row.split(",")
         ref = want.value(float(r))
         assert 0.9 * ref <= float(val) <= ref
+
+
+def _elliptic_mixture_of_ex2(r):
+    """a2(a1(EX2))(r) = int_0^1 u^(-1) g(r/u) (2/pi)^2 K(1 - u^2) du with
+    g(x) = (sqrt(pi)/2) e^(-x^2/4), the EX2 density after r -> r^(1/2);
+    by scipy's quad."""
+    f = lambda u: (math.sqrt(math.pi) / 2.0 * math.exp(-r * r / (4.0 * u * u))
+                   * (2.0 / math.pi) ** 2 * ellipkm1(u * u) / u)
+    return sp_integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize("chain, provenance", [
+    ("ups0,a1", "a1(upsilon(exp_power))"),
+    ("a1,a2", "a2(a1(exp_power))"),
+])
+def test_depth2_chains_on_ex2_default_grid(workdir, chain, provenance):
+    ex2 = la.fixture_catalog()["EX2"].measure
+    (workdir / "ex2.json").write_text(json.dumps(la.to_json(ex2)))
+    out = workdir / chain.replace(",", "_")
+    t0 = time.perf_counter()
+    assert run("transform", "--in", workdir / "ex2.json", "--chain", chain, "--out", out) == 0
+    assert time.perf_counter() - t0 < 2.0
+    dens = json.loads((out / "transformed.json").read_text())["components"][0]["density"]
+    assert dens["provenance"] == provenance
+    rows = [(float(r), float(v)) for r, v in zip(dens["xs"], dens["ys"]) if 0.01 <= r <= 10.0]
+    for r, v in rows[::150]:
+        want = k0(r) if chain == "ups0,a1" else _elliptic_mixture_of_ex2(r)
+        assert v == pytest.approx(want, rel=1e-9), r
 
 
 def test_transform_unknown_op_is_usage_error(workdir, capsys):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ellipkm1
 
 import levyarc as la
 from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
 from levyarc.measures import Density, integrate, power_reparam, validate
-from levyarc.transforms import _HalfIntegralKernel, _ScaleMixtureKernel
+from levyarc.transforms import (TWO_OVER_PI, _ChainKernel, _HalfIntegralKernel,
+                                _ScaleMixtureKernel, _arcsine_composed)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -160,7 +162,13 @@ def test_commutation_on_point_mass(delta1):
     route_a = _density(la.upsilon_alpha_beta(la.arcsine1(delta1), -2.0, 2.0))
     route_b = _density(la.arcsine1(la.upsilon0(delta1)))
     for r in np.geomspace(0.1, 5.0, 9):
-        assert abs(route_a.value(float(r)) - route_b.value(float(r))) <= 1e-5
+        a, b = route_a.value(float(r)), route_b.value(float(r))
+        assert abs(a - b) <= 1e-5
+        # both routes are rewritten to the same scale mixture, so each is
+        # held to the closed form as well
+        want = 2.0 / SQRT_PI * math.exp(-r * r)
+        assert a == pytest.approx(want, rel=1e-12)
+        assert b == pytest.approx(want, rel=1e-12)
 
 
 def test_noncommutation_first_moments(delta1):
@@ -487,3 +495,216 @@ def test_arcsine2_of_ex2_near_zero(ex2_measure):
     assert np.max(np.abs(got - (A - np.sqrt(rs) / 2.0))) <= 1e-13
     for r in (1e-20, 1e-16, 9.984210577874086e-15, 1e-12):
         assert math.sqrt(r) * d.value(r) == pytest.approx(A - math.sqrt(r) / 2.0, abs=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the chain rewrite: depth-2 chains as one scale mixture
+# ---------------------------------------------------------------------------
+
+def _component(dens):
+    return la.RadialComponent(density=dens)
+
+
+def _a1_kernel(rc):
+    return _HalfIntegralKernel(rc, "a1", 2.0, TWO_OVER_PI)
+
+
+def _exp_power_dilation(c, a, b, p):
+    return la.RadialComponent(density=la.ExpPowerDensity(c, a, b, p))
+
+
+# each case: the public chain, the same chain nested as written, and the
+# dilation rho whose product with the arcsine dilation the rewrite reads from
+# its table
+CHAIN_CASES = {
+    "rayleigh (2, 1): ups(-2,2) o a1": (
+        lambda m: la.upsilon_alpha_beta(la.arcsine1(m), -2.0, 2.0),
+        lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "upsilon",
+                                       la.power_exp_dilation(-2.0, 2.0))),
+    "rayleigh (2, 1): a1 o ups0": (
+        lambda m: la.arcsine1(la.upsilon0(m)),
+        lambda rc: _a1_kernel(_component(_ScaleMixtureKernel(rc, "upsilon", la.exp_dilation())))),
+    "rayleigh (0.7, 2.5): ups o a1": (
+        lambda m: la.upsilon_tau(la.arcsine1(m), _exp_power_dilation(0.7, 1.0, 2.5, 2.0)),
+        lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "upsilon",
+                                       _exp_power_dilation(0.7, 1.0, 2.5, 2.0))),
+    "exp rate 1: ups0 o a1": (
+        lambda m: la.upsilon0(la.arcsine1(m)),
+        lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "upsilon", la.exp_dilation())),
+    "exp rate 3: ups o a1": (
+        lambda m: la.upsilon_tau(la.arcsine1(m), _exp_power_dilation(0.4, 0.0, 3.0, 1.0)),
+        lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "upsilon",
+                                       _exp_power_dilation(0.4, 0.0, 3.0, 1.0))),
+    "exp rate 1: a1 o ups(-1/2,1/2)": (
+        lambda m: la.arcsine1(la.upsilon_alpha_beta(m, -0.5, 0.5)),
+        lambda rc: _a1_kernel(_component(_ScaleMixtureKernel(
+            rc, "upsilon", la.power_exp_dilation(-0.5, 0.5))))),
+    "elliptic: a2 o a1": (
+        lambda m: la.arcsine2(la.arcsine1(m)),
+        lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "a2", la.arcsine_dilation())),
+}
+
+
+def _chain_sources():
+    ex2 = la.ex2_input_density()
+    return {"EX2": la.RadialComponent(density=ex2),
+            "atom + EX2": la.RadialComponent(atoms=((1.5, 0.5),), density=ex2)}
+
+
+@pytest.mark.parametrize("source", list(_chain_sources()))
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_chain_rewrite_matches_nested_kernels(case, source):
+    build, nested = CHAIN_CASES[case]
+    rc = _chain_sources()[source]
+    got = _density(build(la.PolarMeasure(1, ((la.Direction((1.0,)), rc),))))
+    want = nested(rc)
+    assert isinstance(got, _ChainKernel) and got.depth == 1
+    assert got.provenance_name() == want.provenance_name()
+    rs = np.array(RADII)
+    assert np.max(np.abs(got.values(rs) / want.values(rs) - 1.0)) <= 1e-10
+
+
+def _mellin_with_arcsine(rho, v):
+    """Density at v of U V, U ~ arcsine and V ~ rho independent:
+    int_0^1 (2/pi) (1 - u^2)^(-1/2) rho(v/u) du/u, by scipy's quad with the
+    (1 - u)^(-1/2) factor as its algebraic weight."""
+    from scipy import integrate as sp_integrate
+    lo = v * rho.support[0]
+    f = lambda u: TWO_OVER_PI * rho.value(v / u) / (u * math.sqrt(1.0 + u))
+    return sp_integrate.quad(f, lo, 1.0, weight="alg", wvar=(0.0, -0.5),
+                             epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+def _arcsine_squared_ref(v):
+    """int_v^1 (2/pi)^2 ((1 - u^2)(u^2 - v^2))^(-1/2) du, by scipy's quad
+    with both inverse square roots as its algebraic weight."""
+    from scipy import integrate as sp_integrate
+    f = lambda u: TWO_OVER_PI ** 2 / math.sqrt((1.0 + u) * (u + v))
+    return sp_integrate.quad(f, v, 1.0, weight="alg", wvar=(-0.5, -0.5),
+                             epsabs=0.0, epsrel=1e-13, limit=500)[0]
+
+
+@pytest.mark.parametrize("rho", [
+    la.ExpPowerDensity(2.0, 1.0, 1.0, 2.0),
+    la.ExpPowerDensity(0.7, 1.0, 2.5, 2.0),
+    la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0),
+    la.ExpPowerDensity(0.4, 0.0, 3.0, 1.0),
+], ids=["rayleigh (2, 1)", "rayleigh (0.7, 2.5)", "exp rate 1", "exp rate 3"])
+def test_table_entry_is_the_mellin_convolution(rho):
+    composed = _arcsine_composed(la.RadialComponent(density=rho))
+    vs = np.geomspace(0.02, 3.0, 9)
+    got = composed.values(vs)
+    for v, g in zip(vs, got):
+        want = _mellin_with_arcsine(rho, float(v))
+        assert g == pytest.approx(want, rel=1e-10), v
+
+
+def test_elliptic_table_entry_is_the_mellin_convolution():
+    composed = _arcsine_composed(la.arcsine_dilation())
+    vs = np.concatenate([np.geomspace(0.01, 0.9, 8), [0.99, 0.999]])
+    got = composed.values(vs)
+    for v, g in zip(vs, got):
+        assert g == pytest.approx(_arcsine_squared_ref(float(v)), rel=1e-10), v
+    assert composed.value(1.0) == pytest.approx(TWO_OVER_PI, rel=1e-15)
+    assert composed.value(1.0 + 1e-12) == 0.0
+    # below the switch to log(4/v), where v^2 would underflow
+    assert composed.value(1e-200) == pytest.approx(TWO_OVER_PI ** 2 * math.log(4e200), rel=1e-15)
+
+
+def _table_a1_ex2():
+    return la.tabulate_density(_a1_kernel(la.RadialComponent(density=la.ex2_input_density())),
+                               per_decade=32)
+
+
+def _dilation_with_atom():
+    return la.RadialComponent(atoms=((0.5, 1.0),), density=la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0))
+
+
+# chains the rewrite leaves nested: no table entry, a tabulated intermediate,
+# atoms in the component or the dilation, frac_half
+FALLBACK_CASES = {
+    "ups0 o ups0": (
+        lambda m: la.upsilon0(la.upsilon0(m)),
+        lambda rc: _ScaleMixtureKernel(_component(_ScaleMixtureKernel(rc, "upsilon", la.exp_dilation())),
+                                       "upsilon", la.exp_dilation())),
+    "a1 o a1": (
+        lambda m: la.arcsine1(la.arcsine1(m)),
+        lambda rc: _a1_kernel(_component(_a1_kernel(rc)))),
+    "a1 o a2": (
+        lambda m: la.arcsine1(la.arcsine2(m)),
+        lambda rc: _a1_kernel(_component(_ScaleMixtureKernel(rc, "a2", la.arcsine_dilation())))),
+    "ups0 over a tabulated a1 image": (
+        lambda m: la.upsilon0(la.half_line_measure(density=_table_a1_ex2())),
+        lambda rc: _ScaleMixtureKernel(_component(_table_a1_ex2()), "upsilon", la.exp_dilation())),
+    "ups over a1 with a dilation atom": (
+        lambda m: la.upsilon_tau(la.arcsine1(m), _dilation_with_atom()),
+        lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "upsilon", _dilation_with_atom())),
+    "a1 over ups with a dilation atom": (
+        lambda m: la.arcsine1(la.upsilon_tau(m, _dilation_with_atom())),
+        lambda rc: _a1_kernel(_component(_ScaleMixtureKernel(rc, "upsilon", _dilation_with_atom())))),
+    "ups0 over an atom and a1": (
+        lambda m: la.upsilon0(la.half_line_measure(atoms=[(2.0, 1.0)],
+                                                   density=_a1_kernel(m.components[0][1]))),
+        lambda rc: _ScaleMixtureKernel(la.RadialComponent(((2.0, 1.0),), _a1_kernel(rc)),
+                                       "upsilon", la.exp_dilation())),
+    "ups0 o frac_half": (
+        lambda m: la.upsilon0(la.PolarMeasure(1, ((la.Direction((1.0,)),
+                                                   la.frac_half(m.components[0][1])),))),
+        lambda rc: _ScaleMixtureKernel(
+            _component(_HalfIntegralKernel(rc, "frac_half", 1.0, 1.0 / SQRT_PI)),
+            "upsilon", la.exp_dilation())),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACK_CASES))
+def test_chains_without_an_entry_stay_nested(ex2_measure, case):
+    build, nested = FALLBACK_CASES[case]
+    got = _density(build(ex2_measure))
+    want = nested(ex2_measure.components[0][1])
+    assert not isinstance(got, _ChainKernel)
+    assert got.provenance_name() == want.provenance_name()
+    rs = np.array([0.3, 1.1, 2.6])
+    assert np.array_equal(got.values(rs), want.values(rs))
+
+
+def test_chain_over_a_table_source_stays_nested():
+    # the power image of a piecewise-linear table is not piecewise linear, so
+    # the chain keeps its nested kernels
+    m = la.half_line_measure(density=la.tabulate_density(la.ex2_input_density(), per_decade=64))
+    for d in (_density(la.upsilon0(la.arcsine1(m))), _density(la.arcsine2(la.arcsine1(m)))):
+        assert type(d) is _ScaleMixtureKernel and isinstance(d.source.density, _HalfIntegralKernel)
+
+
+def test_a2_of_a1_image_near_its_supremum(delta1):
+    # the nested a2 kernel over a1(delta_1) raises QuadratureNonConvergence at
+    # r = 0.999; the chain is the elliptic dilation itself
+    d = _density(la.arcsine2(la.arcsine1(delta1)))
+    for r in (0.998, 0.999, 0.9999):
+        want = TWO_OVER_PI ** 2 * float(ellipkm1(r * r))
+        assert d.value(r) == pytest.approx(want, rel=1e-12)
+
+
+def test_chain_kernels_keep_their_provenance(delta1, ex2_measure, monkeypatch):
+    from levyarc import transforms
+    names = {
+        "a1(upsilon(exp_power))": _density(la.arcsine1(la.upsilon0(ex2_measure))),
+        "a2(a1(exp_power))": _density(la.arcsine2(la.arcsine1(ex2_measure))),
+        "upsilon(a1(exp_power))": _density(la.upsilon0(la.arcsine1(ex2_measure))),
+        "upsilon(a1(atoms))": _density(la.upsilon0(la.arcsine1(delta1))),
+    }
+    labels = []
+    quad_batch = transforms.quad_batch
+
+    def recording(*args, label, **kw):
+        labels.append(label(0))
+        return quad_batch(*args, label=label, **kw)
+
+    monkeypatch.setattr(transforms, "quad_batch", recording)
+    for name, d in names.items():
+        assert isinstance(d, _ChainKernel)
+        assert d.provenance_name() == name
+        assert la.tabulate_density(d, 0.5, 1.0, per_decade=2).provenance == name
+        labels.clear()
+        d.values(np.array([0.5]))
+        # the atom-only source is read in closed form, without a quadrature
+        assert labels == ([] if "atoms" in name else [f"{name} kernel at r=0.5"])
