@@ -30,7 +30,9 @@ Both apply the manipulations that recur throughout this package:
 * infinite upper limits, either truncated beforehand at a radius certified
   by the caller's envelope metadata or mapped to a finite range, by
   x = a + t/(1 - t) in the engine and by QUADPACK's own map in
-  adaptive_quad.
+  adaptive_quad. In the engine a node whose 1 - t rounds to 0 stands for
+  x = inf and carries no weight; the scale-mixture kernel maps its
+  unbounded u-ranges this way instead of truncating them.
 
 Tolerances are absolute, with a relative floor of 1e-12 of the value: an
 integral is accepted when its error estimate is at most
@@ -242,8 +244,10 @@ def _map(t: np.ndarray, kind: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarra
         anc = anchor[rows, None]
         if code == _INF:
             q = 1.0 - tr
-            x[rows] = anc + tr / q
-            jac[rows] = 1.0 / (q * q)
+            end = q <= 0.0  # the node stands for x = inf, with no weight
+            q[end] = 1.0
+            x[rows] = np.where(end, math.inf, anc + tr / q)
+            jac[rows] = np.where(end, 0.0, 1.0 / (q * q))
         else:
             x[rows] = anc + tr * tr if code == _LEFT else anc - tr * tr
             jac[rows] = 2.0 * tr
@@ -432,9 +436,10 @@ def _decade_marks(lo: float, hi: float, start: float | None = None) -> list[floa
     to hi * 1e-12.
 
     A slowly decaying envelope can push a truncation radius many orders of
-    magnitude past the scale where the mass sits, and the initial
-    Gauss-Kronrod pass then never samples that region; a mark at every
-    decade forces a subinterval at every scale."""
+    magnitude past the scale where the mass sits, and the map of an
+    unbounded range squeezes the scales below hi into a short stretch of
+    t; the initial Gauss-Kronrod pass then never samples that region. A
+    mark at every decade forces a subinterval at every scale."""
     floor = max(lo, hi * 1e-12 if start is None else start)
     marks: list[float] = []
     if hi > 1e4 * floor:

@@ -9,7 +9,9 @@ radial density evaluated lazily by quadrature:
 * the scale mixture (upsilon): the image of src under scaling by an
   independent factor drawn from a dilation measure tau; density part
   out(r) = int u^(-1) src_dens(r/u) tau(du), with atom-by-atom cross terms
-  handled in closed form.
+  handled in closed form. The u-integral runs over the whole range the
+  supports allow, unbounded when tau's is and src's starts at 0, with a
+  break point at every decade of u around u ~ r.
 
 The other transforms reduce to these two, at most after an exact power map
 of the radius (measures.power_reparam). The second arcsine transform a2, kernel
@@ -206,26 +208,6 @@ def _rc_tail_radius(rc: RadialComponent, tol: float, moment: float = 0.0) -> flo
 def _rc_moment(rc: RadialComponent, moment: float) -> float:
     return integrate(rc, lambda u: u ** moment if moment else 1.0,
                      (0.0, math.inf), abs_tol=1e-12, g_moment=moment)
-
-
-def _zero_bound(dens: Density) -> tuple[float, float]:
-    """(C, a) with density(x) <= C * x**a certified-or-estimated near zero.
-    Exact for exp_power and tables; a probe-based estimate for kernels, used
-    only to place truncation radii (the quadrature after truncation is exact).
-    """
-    if isinstance(dens, ExpPowerDensity):
-        return dens.c, dens.a
-    if isinstance(dens, TableDensity):
-        return (max(dens.ys) or 1.0), 0.0
-    # kernels: calibrate at a moderate probe and give the exponent half an
-    # order of slack, so a logarithmic factor at zero (the boundary case of
-    # the exponent algebra) stays below the envelope all the way down
-    a = dens.exponent_at_zero() - 0.5
-    lo, hi = dens.support
-    probe = max(lo * 1.000001, min(1.0, dens.table_radius()) * 1e-2)
-    v = dens.value(probe)
-    c = 2.0 * v / probe ** a if v > 0 else 1.0
-    return c, a
 
 
 def _abel_integrals(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, lo: float,
@@ -515,31 +497,30 @@ class _ScaleMixtureKernel(TransformedDensity):
         t_lo, t_hi = t.support
         lo_u = np.maximum(t_lo, rs / f_hi)
         hi_u = np.minimum(t_hi, rs / f_lo) if f_lo > 0.0 else np.full(rs.shape, t_hi)
-        if math.isinf(t_hi) and f_lo == 0.0:
-            hi_u = np.array([self._upsilon_u_cut(r, f, t) for r in rs.tolist()])
         sing_lo = (f.singular_at_high() and math.isfinite(f_hi)) & (lo_u <= (rs / f_hi) * (1 + 1e-12))
         sing_hi = (t.singular_at_high() and math.isfinite(t_hi)) & (hi_u >= t_hi)
         if f_lo > 0.0 and f.singular_at_low():
             sing_hi |= np.isfinite(hi_u) & (hi_u >= (rs / f_lo) * (1 - 1e-12))
         # the integrand is a bump in log u around u ~ r, so the range starts
-        # out cut at every decade from r * 1e-3 (or 1e-12 of the range, if
-        # lower) up; a table kinks at each knot x_k, which this integral
-        # meets at u = r/x_k
+        # out cut at every decade from r * 1e-3 (or 1e-12 of the top, if
+        # lower) to the top: the upper limit, or for an unbounded range,
+        # which quad_batch maps whole, the larger of r and the dilation's
+        # table radius. A table kinks at each knot x_k > 0, met at u = r/x_k
+        tops = np.maximum(t.table_radius(), rs) if np.isinf(hi_u).any() else hi_u
         knots = np.asarray(f.xs if isinstance(f, TableDensity) else ())
+        knots = knots[knots > 0.0]
         # the source's blowups at rho meet it at u = r/rho, the dilation's at
         # its own radii
         f_blow = np.asarray(f.interior_singular_radii(), float)
         t_blow = list(t.interior_singular_radii())
 
         def points(k: int) -> Sequence[float]:
-            lo, hi = float(lo_u[k]), float(hi_u[k])
-            marks = []
-            if math.isfinite(hi):
-                marks = _decade_marks(lo, hi, min(hi * 1e-12, float(rs[k]) * 1e-3))
-                if sing_hi[k]:
-                    # quad_batch maps the upper half by u = hi - w**2, where a
-                    # mark stalls on the rounding of hi - u
-                    marks = [m for m in marks if m < 0.5 * (lo + hi)]
+            lo, top = float(lo_u[k]), float(tops[k])
+            marks = _decade_marks(lo, top, min(top * 1e-12, float(rs[k]) * 1e-3))
+            if sing_hi[k]:
+                # quad_batch maps the upper half by u = hi - w**2, where a
+                # mark stalls on the rounding of hi - u
+                marks = [m for m in marks if m < 0.5 * (lo + top)]
             return np.concatenate([rs[k] / knots, marks]) if knots.size else marks
 
         def blowups(k: int) -> list[float]:
@@ -552,24 +533,6 @@ class _ScaleMixtureKernel(TransformedDensity):
                           singular_left=sing_lo, singular_right=sing_hi, points=points,
                           blowups=blowups,
                           label=lambda k: f"{self.name} kernel at r={float(rs[k])!r}")
-
-    def _upsilon_u_cut(self, r: float, f: Density, t: Density) -> float:
-        """Truncation point for the u-integral when the dilation has unbounded
-        support: the remainder beyond R equals (after s = r/u) a tail moment
-        of the dilation weighted by the source's behavior near zero. R is
-        rounded up to a power of two, so that nearby radii get equal ranges
-        and quad_batch builds their initial partition once."""
-        if not t.tail_all_moments():
-            return math.inf
-        cache = self._cache
-        if "zero_bound" not in cache:
-            cache["zero_bound"] = _zero_bound(f)
-        c_f, a_f = cache["zero_bound"]
-        try:
-            cut = t.weighted_tail_radius(INNER_ABS_TOL / max(c_f * r ** a_f, 1e-300), -a_f - 1.0)
-        except NotImplementedError:
-            return math.inf
-        return 2.0 ** math.ceil(math.log2(max(cut, 1.0)))
 
     def _compute_exponent(self) -> float:
         # each cross term contributes, output behaves like the worst

@@ -57,7 +57,7 @@ def test_transform_zero_measure_gives_zero(workdir):
     out = workdir / "t0"
     assert run("transform", "--chain", "a1", "--in", workdir / "zero.json", "--out", out) == 0
     obj = json.loads((out / "transformed.json").read_text())
-    assert la.from_json(obj).is_zero
+    assert la.from_json(obj).is_zero()
 
 
 def test_transform_chain_composition(workdir):

@@ -106,7 +106,7 @@ def test_pure_drift_scales_by_integral():
     t = la.Triplet([[0.0]], la.PolarMeasure.zero(1), [1.7])
     out = la.transform_triplet(t, "cos_pi_half")
     assert out.gamma[0] == pytest.approx(1.7 * 2.0 / math.pi, abs=1e-12)
-    assert out.nu.is_zero
+    assert out.nu.is_zero()
 
 
 def test_levy_part_matches_direct_mixture(poisson_triplet):
@@ -120,7 +120,7 @@ def test_levy_part_matches_direct_mixture(poisson_triplet):
 
 def test_zero_levy_measure_stays_zero(gaussian_triplet):
     out = la.transform_triplet(gaussian_triplet, "log_sqrt")
-    assert out.nu.is_zero
+    assert out.nu.is_zero()
 
 
 def _atom_triplet():

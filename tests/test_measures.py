@@ -89,7 +89,7 @@ def test_table_density_rejects_bad_input():
 
 def test_zero_measure():
     z = la.PolarMeasure.zero(2)
-    assert z.is_zero and z.d == 2 and len(z.components) == 0
+    assert z.is_zero() and z.d == 2 and len(z.components) == 0
 
 
 def test_validate_levels():
@@ -233,7 +233,7 @@ def test_json_round_trip_table():
 def test_json_zero_measure_round_trip():
     z = la.PolarMeasure.zero(3)
     back = la.from_json(la.to_json(z))
-    assert back.is_zero and back.d == 3
+    assert back.is_zero() and back.d == 3
 
 
 # ---------------------------------------------------------------------------

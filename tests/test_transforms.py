@@ -383,18 +383,28 @@ def _ref_a1(rc, r):
     return 2.0 / math.pi * total
 
 
-def _ref_ups0(rc, r):
-    """int u^(-1) rc(r/u) e^(-u) du, by scipy's quad, piece by piece
-    between the images u = r/x_k of a table's knots."""
-    total = sum(m * math.exp(-r / s) / s for s, m in rc.atoms)
+def _ref_upsilon(rc, r, tau):
+    """int u^(-1) rc(r/u) tau(u) du for the dilation density tau, by scipy's
+    quad, piece by piece between the images u = r/x_k of a table's knots; a
+    knot at 0 maps to u = inf."""
+    total = sum(m * tau(r / s) / s for s, m in rc.atoms)
     f = rc.density
-    g = lambda u: f.value(r / u) * math.exp(-u) / u
+    g = lambda u: f.value(r / u) * tau(u) / u
     if isinstance(f, la.TableDensity):
-        edges = [r / s for s in reversed(f.xs)]
+        edges = [r / s if s > 0.0 else math.inf for s in reversed(f.xs)]
         total += sum(_quad(g, a, b) for a, b in zip(edges, edges[1:]))
     elif f is not None:
         total += _quad(g, 0.0, math.inf)
     return total
+
+
+def _ref_ups0(rc, r):
+    return _ref_upsilon(rc, r, lambda u: math.exp(-u))
+
+
+def _ref_ups_rayleigh(rc, r):
+    # the (-2, 2) power-exp dilation 2 u e^(-u^2)
+    return _ref_upsilon(rc, r, lambda u: 2.0 * u * math.exp(-u * u))
 
 
 def _sources():
@@ -403,19 +413,31 @@ def _sources():
             "EX2": la.RadialComponent(density=ex2),
             "delta1": la.RadialComponent(atoms=((1.0, 1.0),)),
             "two atoms": la.RadialComponent(atoms=((0.5, 1.0), (2.0, 1.0))),
-            "table": la.RadialComponent(density=la.tabulate_density(ex2, per_decade=64))}
+            "table": la.RadialComponent(density=la.tabulate_density(ex2, per_decade=64)),
+            "table from 0": la.RadialComponent(density=_table_from_zero())}
 
 
-RADII = [0.13, 0.5, 0.9, 1.1, 1.3, 2.7, 4.2]
+def _table_from_zero():
+    # a table whose first knot (0, 0) sits at the origin, under a source
+    # that blows up there
+    t = la.tabulate_density(la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0), 1e-6, 40.0, 64)
+    return la.TableDensity((0.0,) + t.xs, (0.0,) + t.ys)
+
+
+RADII = [1e-6, 0.13, 0.5, 0.9, 1.1, 1.3, 2.7, 4.2]
+
+
+KERNELS = {"a1": la.arcsine1, "ups0": la.upsilon0,
+           "ups_-2,2": lambda m: la.upsilon_alpha_beta(m, -2.0, 2.0)}
 
 
 @pytest.mark.parametrize("source", list(_sources()))
-@pytest.mark.parametrize("kernel, ref", [("a1", _ref_a1), ("ups0", _ref_ups0)])
+@pytest.mark.parametrize("kernel, ref", [("a1", _ref_a1), ("ups0", _ref_ups0),
+                                         ("ups_-2,2", _ref_ups_rayleigh)])
 def test_kernel_values_match_scalar_quad(kernel, ref, source):
     rc = _sources()[source]
     m = la.PolarMeasure(1, ((la.Direction((1.0,)), rc),))
-    img = la.arcsine1(m) if kernel == "a1" else la.upsilon0(m)
-    got = _density(img).values(np.array(RADII))
+    got = _density(KERNELS[kernel](m)).values(np.array(RADII))
     for r, v in zip(RADII, got):
         want = ref(rc, r)
         assert abs(v - want) <= 1e-12 + 1e-12 * abs(want), (r, v, want)
@@ -495,6 +517,40 @@ def test_arcsine2_of_ex2_near_zero(ex2_measure):
     assert np.max(np.abs(got - (A - np.sqrt(rs) / 2.0))) <= 1e-13
     for r in (1e-20, 1e-16, 9.984210577874086e-15, 1e-12):
         assert math.sqrt(r) * d.value(r) == pytest.approx(A - math.sqrt(r) / 2.0, abs=1e-13)
+
+
+# each case: the image, the log-densities of its source at log x and of its
+# dilation at log u, the radii, and the relative tolerance
+UNBOUNDED_DILATION_CASES = {
+    "ups(1.9, 0.1) of exp_power(1, -2.5, 1, 1)": (
+        lambda: la.upsilon_alpha_beta(
+            la.half_line_measure(density=la.ExpPowerDensity(1.0, -2.5, 1.0, 1.0)), 1.9, 0.1),
+        lambda lx: -2.5 * lx - math.exp(lx),
+        lambda lu: math.log(0.1) - 2.9 * lu - math.exp(0.1 * lu),
+        np.geomspace(1e-6, 50.0, 9), 1e-12),
+    "ups0 of EX1 at large radii": (
+        lambda: la.upsilon0(la.half_line_measure(density=la.ex1_input_density())),
+        lambda lx: math.log(math.pi / 4.0) - 0.5 * lx - math.exp(0.5 * lx),
+        lambda lu: -math.exp(lu),
+        np.array([5.2e3, 1e4]), 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", list(UNBOUNDED_DILATION_CASES))
+def test_upsilon_over_unbounded_dilation(case):
+    # the u-integral runs to u = inf; the reference takes it in t = log u,
+    # int exp(log f(log r - t) + log tau(t)) dt, by scipy's quad on unit
+    # pieces from log r - 40 to log r + 150, outside which the integrand
+    # is below double precision
+    build, log_f, log_tau, rs, rel = UNBOUNDED_DILATION_CASES[case]
+    from scipy import integrate as sp_integrate
+    got = _density(build()).values(rs)
+    for r, v in zip(rs, got):
+        lr = math.log(r)
+        h = lambda t: math.exp(log_f(lr - t) + log_tau(t))
+        want = sum(sp_integrate.quad(h, a, a + 1.0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a in np.arange(lr - 40.0, lr + 150.0))
+        assert abs(v - want) <= rel * want, (r, v, want)
 
 
 # ---------------------------------------------------------------------------
