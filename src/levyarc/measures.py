@@ -7,6 +7,8 @@ families are closed under everything this package does:
 * exp_power(c, a, b, p): c * r**a * exp(-b * r**p), the workhorse family;
 * table: piecewise-linear samples, the serialization target for transformed
   densities;
+* the image of any density under r -> r**2 or r**(1/2), exact and lazy
+  (exp_power alone has a closed-form parameter map);
 * kernel densities defined in levyarc.transforms (lazy quadrature kernels),
   which subclass Density and plug into the same integration machinery.
 
@@ -93,6 +95,12 @@ class Density:
         (integrably). Integration routines split or anchor points there."""
         return ()
 
+    def kinks(self) -> tuple[float, ...]:
+        """Radii where the density is continuous but not smooth, or jumps.
+        Every integral against the density takes those inside its range as
+        break points."""
+        return ()
+
     def tail_all_moments(self) -> bool:
         """True when every moment integral over (1, oo) is certified finite."""
         lo, hi = self.support
@@ -131,7 +139,6 @@ class ExpPowerDensity(Density):
     b: float
     p: float
     support: tuple[float, float] = (0.0, math.inf)
-    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.support
@@ -217,7 +224,6 @@ class TableDensity(Density):
     xs: tuple[float, ...]
     ys: tuple[float, ...]
     provenance: str | None = field(default=None, compare=False)
-    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.xs) < 2 or len(self.xs) != len(self.ys):
@@ -254,9 +260,8 @@ class TableDensity(Density):
         # numpy 1.x lacks
         return float((np.diff(cuts) * (vals[1:] + vals[:-1]) / 2.0).sum())
 
-    def knots_inside(self, lo: float, hi: float) -> list[float]:
-        ax = self._arrays[0]
-        return [float(x) for x in ax[(ax > lo) & (ax < hi)]]
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(self._arrays[0].tolist())
 
     def provenance_name(self) -> str:
         return self.provenance or "table"
@@ -270,11 +275,10 @@ class TableDensity(Density):
 
 @dataclass(frozen=True)
 class PowerImageDensity(Density):
-    """Image of another density under r -> r**exponent (exponent 2 or 1/2).
-
-    Used when power_reparam meets a density without a closed-form parameter
-    map (lazy transform kernels); exp_power and table densities are remapped
-    exactly instead.
+    """Exact image of another density under r -> r**exponent (exponent 2 or
+    1/2), the base read at the preimage radius. power_reparam returns it for
+    every density but exp_power, which it remaps in closed form; its kinks
+    are the base's raised to the exponent.
     """
 
     base: Density
@@ -309,6 +313,9 @@ class PowerImageDensity(Density):
 
     def singular_at_high(self) -> bool:
         return self.base.singular_at_high()
+
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(x ** self.exponent for x in self.base.kinks())
 
     def tail_all_moments(self) -> bool:
         return self.base.tail_all_moments()
@@ -536,8 +543,6 @@ def integrate(rc: RadialComponent, g: Callable[[np.ndarray], np.ndarray],
 def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     n: int, interval: tuple[float, float], *,
                     abs_tol: float = DEFAULT_ABS_TOL,
-                    singular_left: bool | None = None,
-                    singular_right: bool | None = None,
                     g_moment: float = 0.0) -> np.ndarray:
     """The n integrals of g(., k), k = 0..n-1, against the radial measure over
     the half-open interval (a, b], solved as one batch. b may be math.inf.
@@ -564,8 +569,7 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
         if a < loc <= b:
             total += g(np.full(n, loc), ks) * mass
     if rc.density is not None:
-        total += _density_integrals(rc.density, g, n, a, b, abs_tol,
-                                    singular_left, singular_right, g_moment)
+        total += _density_integrals(rc.density, g, n, a, b, abs_tol, g_moment)
     return total
 
 
@@ -578,7 +582,6 @@ def _interval(interval: tuple[float, float]) -> tuple[float, float]:
 
 def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        n: int, a: float, b: float, abs_tol: float,
-                       singular_left: bool | None, singular_right: bool | None,
                        g_moment: float) -> np.ndarray:
     """The density part of integrate_batch."""
     lo = max(a, dens.support[0])
@@ -593,15 +596,12 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
                 pass
     if hi <= lo:
         return np.zeros(n)
-    sing_lo = dens.singular_at_low() if singular_left is None else singular_left
-    sing_hi = dens.singular_at_high() if singular_right is None else singular_right
-    sing_lo = sing_lo and (lo <= dens.support[0])
-    sing_hi = sing_hi and math.isfinite(dens.support[1]) and (hi >= dens.support[1])
-    # break points: the kinks of a table and, over a long finite range, one
+    sing_lo = dens.singular_at_low() and (lo <= dens.support[0])
+    sing_hi = (dens.singular_at_high() and math.isfinite(dens.support[1])
+               and (hi >= dens.support[1]))
+    # break points: the density's kinks and, over a long finite range, one
     # mark per decade
-    points: list[float] = []
-    if isinstance(dens, TableDensity):
-        points += dens.knots_inside(lo, hi if math.isfinite(hi) else dens.support[1])
+    points = [x for x in dens.kinks() if lo < x < hi]
     if math.isfinite(hi):
         points += _decade_marks(lo, hi)
     pts = np.asarray(points, float)
@@ -633,6 +633,8 @@ def tail(rc: RadialComponent, u: float, *, abs_tol: float = DEFAULT_ABS_TOL) -> 
 # ---------------------------------------------------------------------------
 
 def _power_map_density(dens: Density, exponent: float) -> Density:
+    """The image of dens under r -> r**exponent: exp_power in closed form,
+    every other density as its exact lazy PowerImageDensity."""
     if isinstance(dens, ExpPowerDensity):
         lo, hi = dens.support
         new_support = (lo ** exponent, hi ** exponent)
@@ -641,23 +643,16 @@ def _power_map_density(dens: Density, exponent: float) -> Density:
                                    dens.p / 2.0, new_support)
         return ExpPowerDensity(2.0 * dens.c, 2.0 * dens.a + 1.0, dens.b,
                                2.0 * dens.p, new_support)
-    if isinstance(dens, TableDensity):
-        if exponent == 2.0:
-            xs = tuple(x * x for x in dens.xs)
-            ys = tuple(y / (2.0 * x) if x > 0 else 0.0 for x, y in zip(dens.xs, dens.ys))
-        else:
-            xs = tuple(math.sqrt(x) for x in dens.xs)
-            ys = tuple(y * 2.0 * math.sqrt(x) for x, y in zip(dens.xs, dens.ys))
-        return TableDensity(xs, ys, provenance=dens.provenance)
     return PowerImageDensity(dens, exponent)
 
 
 def power_reparam(m: PolarMeasure, exponent: float) -> PolarMeasure:
     """Image measure under r -> r**exponent along each ray, exponent 2 or 1/2.
 
-    Atoms map exactly; exp_power and table densities are remapped in closed
-    form; anything else is wrapped lazily. The squaring direction asks for the
-    basic integrability check up front (it then tightens to the first-moment
+    Atoms map exactly; exp_power densities are remapped in closed form;
+    every other density, tables included, becomes its exact lazy
+    PowerImageDensity. The squaring direction asks for the basic
+    integrability check up front (it then tightens to the first-moment
     condition: r^2 near zero turns an r^2-integrable measure into an
     r-integrable one).
     """

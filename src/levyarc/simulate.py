@@ -117,7 +117,6 @@ class _JumpTable:
     """
 
     def __init__(self, rc: RadialComponent, eps: float):
-        self.direction_weight = rc.weight
         self.atom_locs = np.array([loc for loc, _ in rc.atoms if loc > eps])
         self.atom_masses = np.array([mass for loc, mass in rc.atoms if loc > eps])
         atom_mass = float(self.atom_masses.sum()) if self.atom_masses.size else 0.0
@@ -224,7 +223,7 @@ class _Streams:
 
     def __init__(self, seed: int):
         self._seed = seed & 0xFFFFFFFFFFFFFFFF
-        self._bits = np.random.Philox(key=[self._seed, 0])
+        self._bits = np.random.Philox(key=np.array([self._seed, 0], np.uint64))
         self._gen = np.random.Generator(self._bits)
 
     def __call__(self, block: int, kind: int, comp: int = 0) -> np.random.Generator:

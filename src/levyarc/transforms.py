@@ -24,7 +24,8 @@ arcsine2_direct() an independent cross-check of arcsine2() instead of the
 same computation twice.
 
 The half-integral kernel and the inversion of a1 share one Abel evaluator,
-int g(s) (s - x)^(-1/2) ds; the inversion reads it with g(s) = dens(sqrt(s)).
+int f(s**(1/q)) (s - x)^(-1/2) ds, which reads a density f in s = r**q: the
+kernel reads its source with q = 1, the inversion its image with q = 2.
 
 Chain rewrite: scale mixtures compose by the multiplicative convolution of
 their dilations, Upsilon_sigma o Upsilon_tau = Upsilon_(sigma * tau), and with
@@ -59,16 +60,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import ellipkm1, k0
 
 from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
-                       PolarMeasure, RadialComponent, TableDensity,
-                       _power_map_density, integrate, power_reparam,
-                       tabulate_density, validate)
+                       PolarMeasure, RadialComponent, _power_map_density,
+                       integrate, power_reparam, tabulate_density, validate)
 from .quadrature import _decade_marks, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
@@ -90,7 +90,6 @@ class ArcsineDilationDensity(Density):
     """(2/pi) (1 - u^2)^(-1/2) on (0, 1); total mass 1."""
 
     support: tuple[float, float] = field(default=(0.0, 1.0), init=False)
-    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def values(self, us) -> np.ndarray:
         u = np.asarray(us, float)
@@ -137,7 +136,6 @@ class _BesselK0DilationDensity(Density):
     c: float
     b: float
     support: tuple[float, float] = field(default=(0.0, math.inf), init=False)
-    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def values(self, vs) -> np.ndarray:
         v = np.asarray(vs, float)
@@ -170,7 +168,6 @@ class _EllipticDilationDensity(Density):
     itself; K is the complete elliptic integral of the first kind."""
 
     support: tuple[float, float] = field(default=(0.0, 1.0), init=False)
-    depth: int = field(default=0, init=False, repr=False, compare=False)
 
     def values(self, vs) -> np.ndarray:
         v = np.asarray(vs, float)
@@ -210,22 +207,33 @@ def _rc_moment(rc: RadialComponent, moment: float) -> float:
                      (0.0, math.inf), abs_tol=1e-12, g_moment=moment)
 
 
-def _abel_integrals(g: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, lo: float,
-                    his: np.ndarray, blowups: Iterable[float], knots: Sequence[float],
-                    abs_tol: float, label: Callable[[int], str]) -> np.ndarray:
-    """int over (max(x, lo), hi) of g(s) (s - x)^(-1/2) ds for every x of xs,
-    each with its own hi (which may be inf), solved as one batch; g is
-    vectorised.
+def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
+                    label: Callable[[int], str]) -> np.ndarray:
+    """int over s > x of f(s**(1/q)) (s - x)^(-1/2) ds for every x of xs, the
+    density f read in s = r**q, solved as one batch: q = 1 for the
+    half-integral kernel, q = 2 for the inversion of a1. The range, its
+    truncation, the blowups and the kinks all come from f.
 
-    g may blow up integrably at either end and at each of the blowups; the
-    range is split there so every blowup sits at a piece edge. On a finite
+    An unbounded range is cut at max(2x, R**q), R certified by
+    f.weighted_tail_radius(abs_tol / (q sqrt(2)), q/2 - 1): beyond 2x,
+    (s - x)^(-1/2) <= sqrt(2) s^(-1/2), so after s = r**q the dropped tail is
+    at most abs_tol. The range is split at every blowup of f. On a finite
     piece (a, b) the sine map s = a + (b - a) sin^2(theta) absorbs inverse
     square root blowups at both edges, including the s = x anchor when
     a == x, so the integrand never divides by a difference that can
-    underflow. knots are kinks of g (the knots of a table), handed to the
-    quadrature as break points. label(i) names the integral at xs[i]."""
-    blowups = sorted(set(blowups))
-    knots = np.asarray(knots, float)
+    underflow. The kinks of f, mapped to s, are break points. label(i)
+    names the integral at xs[i]."""
+    lo, hi = (e ** q for e in f.support)
+    his = np.full(xs.shape, hi)
+    if math.isinf(hi) and f.tail_all_moments():
+        try:
+            cut = f.weighted_tail_radius(abs_tol / (q * math.sqrt(2.0)), q / 2.0 - 1.0) ** q
+            his = np.maximum(2.0 * xs, cut)
+        except NotImplementedError:
+            pass
+    g = f.values if q == 1.0 else lambda s: f.values(s ** (1.0 / q))
+    blowups = sorted({rho ** q for rho in f.interior_singular_radii()})
+    knots = np.asarray(f.kinks(), float) ** q
     # one mark per decade of the distance from a piece's start, which the
     # sine map sends to the same angles on every piece
     marks = np.arcsin(np.sqrt(np.array(_decade_marks(0.0, 1.0))))
@@ -401,18 +409,7 @@ class _HalfIntegralKernel(TransformedDensity):
             total[above] += mass / np.sqrt(loc - xs[above])
         f = self.source.density
         if f is not None:
-            lo, hi = f.support
-            his = np.full(xs.shape, hi)
-            if math.isinf(hi) and f.tail_all_moments():
-                try:
-                    # beyond max(2x, R): (s - x)^(-1/2) <= sqrt(2) s^(-1/2)
-                    cut = f.weighted_tail_radius(INNER_ABS_TOL / math.sqrt(2.0), -0.5)
-                    his = np.maximum(2.0 * xs, cut)
-                except NotImplementedError:
-                    pass
-            knots = f.xs if isinstance(f, TableDensity) else ()
-            total += _abel_integrals(f.values, xs, lo, his, f.interior_singular_radii(), knots,
-                                     INNER_ABS_TOL,
+            total += _abel_integrals(f, 1.0, xs, INNER_ABS_TOL,
                                      lambda i: f"{self.name} kernel at r={float(rs[i])!r}")
         return self.const * total
 
@@ -505,10 +502,12 @@ class _ScaleMixtureKernel(TransformedDensity):
         # out cut at every decade from r * 1e-3 (or 1e-12 of the top, if
         # lower) to the top: the upper limit, or for an unbounded range,
         # which quad_batch maps whole, the larger of r and the dilation's
-        # table radius. A table kinks at each knot x_k > 0, met at u = r/x_k
+        # table radius. The source's kinks x_k > 0 are met at u = r/x_k, the
+        # dilation's at their own radii
         tops = np.maximum(t.table_radius(), rs) if np.isinf(hi_u).any() else hi_u
-        knots = np.asarray(f.xs if isinstance(f, TableDensity) else ())
+        knots = np.asarray(f.kinks(), float)
         knots = knots[knots > 0.0]
+        t_kinks = np.asarray(t.kinks(), float)
         # the source's blowups at rho meet it at u = r/rho, the dilation's at
         # its own radii
         f_blow = np.asarray(f.interior_singular_radii(), float)
@@ -521,7 +520,9 @@ class _ScaleMixtureKernel(TransformedDensity):
                 # quad_batch maps the upper half by u = hi - w**2, where a
                 # mark stalls on the rounding of hi - u
                 marks = [m for m in marks if m < 0.5 * (lo + top)]
-            return np.concatenate([rs[k] / knots, marks]) if knots.size else marks
+            if knots.size or t_kinks.size:
+                return np.concatenate([rs[k] / knots, t_kinks, marks])
+            return marks
 
         def blowups(k: int) -> list[float]:
             return t_blow + (rs[k] / f_blow).tolist() if f_blow.size else t_blow
@@ -581,6 +582,17 @@ class _ScaleMixtureKernel(TransformedDensity):
     def interior_singular_radii(self) -> tuple[float, ...]:
         hi = self.support[1]
         return tuple(sorted(r for r in self._blowup_radii() if 0.0 < r < hi))
+
+    def kinks(self) -> tuple[float, ...]:
+        """A dilation atom u0 copies the source density's kinks x to u0 x,
+        a source atom s0 the dilation density's kinks y to s0 y."""
+        src, tau = self.source, self.dilation
+        out = set()
+        if src.density is not None:
+            out.update(u0 * x for u0, _ in tau.atoms for x in src.density.kinks())
+        if tau.density is not None:
+            out.update(s0 * y for s0, _ in src.atoms for y in tau.density.kinks())
+        return tuple(sorted(out))
 
     def tail_all_moments(self) -> bool:
         if math.isfinite(self.support[1]):
@@ -831,7 +843,8 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         if dens.depth >= MAX_KERNEL_DEPTH:
             dens = tabulate_density(dens)
         us = _inversion_grid(dens, grid)
-        tails = _preimage_tails(dens, np.array(us), abs_tol).tolist()
+        tails = (0.5 * _abel_integrals(dens, 2.0, np.array(us), abs_tol,
+                                       lambda i: f"inversion tail at u={us[i]!r}")).tolist()
         t0 = max(tails[0], 0.0)
         floor = -MONOTONE_SLACK * max(t0, 1e-300)
         for j in range(len(tails)):
@@ -861,21 +874,3 @@ def _inversion_grid(dens: Density, grid: tuple[float, float, int] | None) -> lis
     n = 257
     return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
 
-
-def _preimage_tails(dens: Density, us: np.ndarray, abs_tol: float) -> np.ndarray:
-    lo, hi = dens.support
-    s_his = np.full(us.shape, hi * hi)
-    if math.isinf(hi) and dens.tail_all_moments():
-        try:
-            r_cut = dens.weighted_tail_radius(abs_tol, 0.0)
-            s_his = np.maximum(2.0 * us, r_cut * r_cut)
-        except NotImplementedError:
-            pass
-    # the integrand blows up (integrably) wherever the density does, and a
-    # tabulated image is piecewise linear in the radius, so the integrand
-    # kinks at every squared knot
-    blowups = [rho * rho for rho in dens.interior_singular_radii()]
-    knots = [x * x for x in dens.xs] if isinstance(dens, TableDensity) else ()
-    return 0.5 * _abel_integrals(lambda s: dens.values(np.sqrt(s)), us, lo * lo, s_his,
-                                 blowups, knots, abs_tol,
-                                 lambda i: f"inversion tail at u={float(us[i])!r}")

@@ -157,6 +157,21 @@ def test_transform_triplet_with_dilation_atoms_matches_scaling():
     assert out.Sigma[0][0] == pytest.approx(1.0, rel=1e-15)
 
 
+def test_char_fn_of_a_table_through_a_dilation_with_atoms():
+    # f = 2 on [0, 1] and 1/2 on (1, 3]: the integral is 2 X_1 + (X_3 - X_1)/2,
+    # so its cf at z is phi(2z) phi(z/2)**2; tau = 2 delta_(1/2) + delta_2
+    # copies the table's kinks to u0 x_k, which the radial integral must split at
+    table = la.tabulate_density(la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0), 1e-3, 30.0)
+    t = la.Triplet([[0.0]], la.half_line_measure(density=table), [0.0])
+    spec = la.IntegrandSpec("step", 3.0, lambda s: np.where(np.asarray(s) <= 1.0, 2.0, 0.5),
+                            3.0, 4.5, lambda: la.RadialComponent(((0.5, 2.0), (2.0, 1.0))))
+    out = la.transform_triplet(t, spec)
+    assert set(out.nu.components[0][1].density.kinks()) == {
+        u0 * x for u0 in (0.5, 2.0) for x in table.xs}
+    for z in (0.3, 1.7, 4.2):
+        want = la.char_fn(t, [2.0 * z]) * la.char_fn(t, [0.5 * z]) ** 2
+        assert abs(la.char_fn(out, [z]) - want) <= 1e-13
+
 
 def _mixed_components_triplet():
     # one component of each kind: a single atom, three atoms, atoms with a

@@ -206,6 +206,24 @@ def test_power_reparam_round_trip():
         assert d1.value(r) == pytest.approx(d0.value(r), rel=1e-12)
 
 
+def test_power_image_of_a_table_is_exact():
+    # a flat table of mass 1 on [1, 2]: its image under r -> r**2 is
+    # 1/(2 sqrt(s)) on [1, 4], not the linear interpolation of remapped knots
+    t = la.TableDensity((1.0, 2.0), (1.0, 1.0))
+    rc = power_reparam(la.half_line_measure(density=t), 2.0).components[0][1]
+    assert isinstance(rc.density, PowerImageDensity)
+    assert abs(integrate(rc, lambda r: 1.0, (0.0, math.inf)) - 1.0) <= 1e-12
+    assert rc.density.value(2.25) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("e", [2.0, 0.5])
+def test_power_image_kinks_are_the_mapped_knots(e):
+    t = la.TableDensity((0.5, 1.0, 2.0), (1.0, 2.0, 0.5))
+    assert t.kinks() == (0.5, 1.0, 2.0)
+    assert PowerImageDensity(t, e).kinks() == tuple(x ** e for x in t.xs)
+    assert la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0).kinks() == ()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

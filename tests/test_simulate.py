@@ -101,6 +101,14 @@ def test_seeded_rerun_is_bit_identical(poisson_triplet):
     assert np.array_equal(a.draws, b.draws)
 
 
+def test_negative_seed_is_taken_modulo_2_64(poisson_triplet):
+    # the key is seed mod 2**64; building the stream must not cast a key
+    # above 2**63 through a signed integer (RuntimeWarning, an error here)
+    a = la.sample_integral(poisson_triplet, "cos_pi_half", small(paths=64, seed=-3))
+    b = la.sample_integral(poisson_triplet, "cos_pi_half", small(paths=64, seed=2**64 - 3))
+    assert np.array_equal(a.draws, b.draws)
+
+
 def test_path_prefix_independent_of_path_count(poisson_triplet):
     a = la.sample_integral(poisson_triplet, "cos_pi_half", small(paths=500))
     b = la.sample_integral(poisson_triplet, "cos_pi_half", small(paths=900))

@@ -103,6 +103,33 @@ def test_a2_routes_agree(delta1):
         assert mixture.value(r) == pytest.approx(direct.value(r), rel=1e-9)
 
 
+@pytest.mark.parametrize("table, rs, rel", [
+    (la.TableDensity((0.5, 1.0, 2.0), (1.0, 2.0, 0.5)), [0.3, 0.7, 1.2, 1.7], 1e-12),
+    (la.tabulate_density(la.ex2_input_density(), per_decade=64), np.geomspace(0.1, 5.0, 25), 1e-10),
+], ids=["three knots", "EX2 table"])
+def test_a2_routes_agree_on_a_table(table, rs, rel):
+    # arcsine2_direct reads the exact power image of the table, so both
+    # routes compute the same measure
+    m = la.half_line_measure(density=table)
+    mixture = _density(la.arcsine2(m)).values(np.asarray(rs))
+    direct = _density(la.arcsine2_direct(m)).values(np.asarray(rs))
+    assert np.all(np.abs(mixture - direct) <= rel * np.abs(direct))
+
+
+def test_upsilon_over_a_table_dilation():
+    # int u^(-1) f(r/u) t(u) du is symmetric in the densities f and t, so the
+    # table may be the source or the dilation; as the dilation its knots are
+    # break points of the u-integral at their own radii
+    table = la.tabulate_density(la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0), 1e-3, 30.0, 16)
+    dens = la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0)
+    rs = np.array([0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
+    as_source = _density(la.upsilon_tau(la.half_line_measure(density=table),
+                                        la.RadialComponent(density=dens))).values(rs)
+    as_dilation = _density(la.upsilon_tau(la.half_line_measure(density=dens),
+                                          la.RadialComponent(density=table))).values(rs)
+    assert np.all(np.abs(as_dilation - as_source) <= 1e-12 * as_source)
+
+
 # ---------------------------------------------------------------------------
 # scale mixtures
 # ---------------------------------------------------------------------------
