@@ -3,8 +3,8 @@
 
 Two experiments:
 
-1. Law check. For Gaussian and compound-Poisson driving laws and for two
-   integrands, sample the stochastic integral and compare the empirical
+1. Law check. For Gaussian and compound-Poisson driving laws on the line, a
+   two-direction compound-Poisson law in the plane, and two integrands, sample the stochastic integral and compare the empirical
    characteristic function on a z-grid against the exact characteristic
    function of the transformed triplet. Reports the sup distance per combo.
 
@@ -21,6 +21,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -31,14 +32,28 @@ def zgrid() -> list[list[float]]:
     return [[z] for z in (-3.0, -1.5, -0.5, 0.5, 1.0, 2.0, 3.0)]
 
 
+def zgrid_2d() -> list[list[float]]:
+    return [[r * math.cos(a), r * math.sin(a)] for r in (0.5, 1.5, 3.0) for a in (0.3, 1.9, 3.5)]
+
+
 def law_check(paths: int, steps: int, seed: int, budget: float) -> float:
     gaussian = la.Triplet([[1.0]], la.PolarMeasure.zero(1), [0.0])
     poisson = la.Triplet([[0.0]], la.half_line_measure(atoms=[(1.0, 1.0)]), [0.5])
-    zs = zgrid()
+    # two jump components in the plane: they share each block's count and
+    # jump streams
+    two_dir = la.Triplet(
+        [[0.0, 0.0], [0.0, 0.0]],
+        la.PolarMeasure(2, (
+            (la.Direction((1.0, 0.0)), la.RadialComponent(((1.0, 0.6),))),
+            (la.Direction.normalized((-0.5, 1.0)), la.RadialComponent(((0.7, 0.8),))),
+        )),
+        [0.2, -0.1],
+    )
     worst = 0.0
     print("== law check: empirical cf vs exact cf of the transformed triplet")
     print(f"{'driver':>10} {'integrand':>14} {'distance':>12} {'seconds':>9}")
-    for name, trip in (("gaussian", gaussian), ("poisson", poisson)):
+    for name, trip, zs in (("gaussian", gaussian, zgrid()), ("poisson", poisson, zgrid()),
+                           ("two_dir", two_dir, zgrid_2d())):
         for integrand in ("cos_pi_half", "log"):
             cfg = la.SimConfig(paths=paths, time_steps=steps, seed=seed)
             t0 = time.time()

@@ -633,8 +633,11 @@ def tail(rc: RadialComponent, u: float, *, abs_tol: float = DEFAULT_ABS_TOL) -> 
 # ---------------------------------------------------------------------------
 
 def _power_map_density(dens: Density, exponent: float) -> Density:
-    """The image of dens under r -> r**exponent: exp_power in closed form,
-    every other density as its exact lazy PowerImageDensity."""
+    """The image of dens under r -> r**exponent (exponent 2 or 1/2):
+    exp_power in closed form, every other density as its exact lazy
+    PowerImageDensity."""
+    if exponent not in (2.0, 0.5):
+        raise MalformedMeasure("power image exponent must be 2 or 1/2")
     if isinstance(dens, ExpPowerDensity):
         lo, hi = dens.support
         new_support = (lo ** exponent, hi ** exponent)

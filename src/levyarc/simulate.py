@@ -19,19 +19,26 @@ exactly, with no time grid, as a Poisson series:
     x = (int f) b_eps + sqrt(int f^2) Sigma^(1/2) N
         + sum_i f(tau_i) J_i xi_i + sqrt(int f^2) C_eps^(1/2) N'
 
-Each jump component (direction xi) has Poisson(rate * T) jumps at uniform
-times tau = T (1 - U) in (0, T], where f is finite even for the logarithmic
-integrands, with radii J from its jump table; C_eps is the small-jump
-covariance. The time-1 law is the case f = 1 on [0, 1].
+Each jump component (direction xi) with mass above eps has Poisson(rate * T)
+jumps at uniform times tau = T (1 - U) in (0, T], where f is finite even for
+the logarithmic integrands, with radii J by inverse CDF over its atoms, then
+its tabulated density; C_eps is the small-jump covariance. The time-1 law is
+the case f = 1 on [0, 1].
 
 Reproducibility contract: paths are drawn vectorised in blocks of
-BLOCK_PATHS. Each (block, variate kind, component) has its own counter-based
-Philox stream: the key is (seed, block) and the upper counter words hold
-(component index, kind). The kinds are the Gaussian normals, per jump
-component its Poisson counts and its (radius, time) uniform pairs, and the
-compensation normals. Within a stream the draws are laid out path by path,
-and the last block draws only the paths requested, so a path's draws depend
-only on (seed, path index), never on the total path count.
+BLOCK_PATHS. Each (block, variate kind) has its own counter-based Philox
+stream: the key is (seed, block) and the top counter word holds the kind.
+The kinds are the Gaussian normals, the Poisson jump counts, the
+(radius, time) uniform pairs of the jumps, and the compensation normals.
+Within a stream the draws are laid out path-major and component-minor: the
+counts as a paths x K array over the K components with jumps above eps, the
+jumps of a path component by component. The last block draws only the paths
+requested, so a path's draws depend only on (seed, path index), never on the
+total path count. With one polar component this is the layout of the
+earlier per-component streams and the draws are unchanged, except that an
+atom mass summed over eight or more atoms above eps may now round
+differently (it is summed in atom order); measures with several components
+draw differently from versions before the shared streams.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatch
 from .mappings import CharFnGrid, IntegrandSpec, Triplet, integrand
-from .measures import RadialComponent, integrate
+from .measures import Density, RadialComponent, integrate
 from .quadrature import geometric_grid
 
 JUMP_TABLE_PER_DECADE = 512
@@ -108,90 +115,88 @@ class SampleSet:
 # ---------------------------------------------------------------------------
 
 class _JumpTable:
-    """Inverse-CDF sampler for one radial component restricted to (eps, oo).
+    """Inverse-CDF table of one radial density restricted to (eps, oo).
 
-    The density part is tabulated on a fine geometric grid with trapezoid
-    cumulative mass; the rate reported here is the tabulated mass (plus atom
-    masses), and sampling inverts the same table, so the simulated jump law
-    and its rate are exactly consistent with each other.
+    The density is tabulated on a fine geometric grid with trapezoid
+    cumulative mass; its component's rate counts the tabulated mass, and
+    sampling inverts the same table, so the simulated jump law and its rate
+    are exactly consistent with each other.
     """
 
-    def __init__(self, rc: RadialComponent, eps: float):
-        self.atom_locs = np.array([loc for loc, _ in rc.atoms if loc > eps])
-        self.atom_masses = np.array([mass for loc, mass in rc.atoms if loc > eps])
-        atom_mass = float(self.atom_masses.sum()) if self.atom_masses.size else 0.0
+    def __init__(self, dens: Density, eps: float):
         self.grid = None
         self.cum = None
-        dens_mass = 0.0
-        dens = rc.density
-        if dens is not None:
-            hi = dens.table_radius()
-            if hi > eps:
-                lo = max(eps, dens.support[0])
-                grid = np.asarray(geometric_grid(lo, hi, JUMP_TABLE_PER_DECADE))
-                vals = np.maximum(dens.values(grid), 0.0)
-                seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
-                cum = np.concatenate([[0.0], np.cumsum(seg)])
-                dens_mass = float(cum[-1])
-                if dens_mass > 0.0:
-                    self.grid = grid
-                    self.cum = cum
-        self.atom_mass = atom_mass
-        self.dens_mass = dens_mass
-        self.radial_mass = atom_mass + dens_mass
-        self.rate = rc.weight * self.radial_mass
+        self.mass = 0.0
+        hi = dens.table_radius()
+        if hi > eps:
+            lo = max(eps, dens.support[0])
+            grid = np.asarray(geometric_grid(lo, hi, JUMP_TABLE_PER_DECADE))
+            vals = np.maximum(dens.values(grid), 0.0)
+            seg = 0.5 * (vals[1:] + vals[:-1]) * np.diff(grid)
+            cum = np.concatenate([[0.0], np.cumsum(seg)])
+            if cum[-1] > 0.0:
+                self.grid, self.cum, self.mass = grid, cum, float(cum[-1])
 
-    def sizes(self, uniforms: np.ndarray) -> np.ndarray:
-        """Map uniforms on (0,1) to jump radii by inverse CDF over the mixed
-        atom + tabulated-density mass."""
-        targets = uniforms * self.radial_mass
+    def sizes(self, targets: np.ndarray) -> np.ndarray:
+        """Radii at cumulative masses in [0, mass). np.interp takes sorted
+        targets several times faster, argsort included, and gives each the
+        value it gives unsorted."""
+        order = np.argsort(targets)
         out = np.empty_like(targets)
-        mask_atom = targets < self.atom_mass
-        if np.any(mask_atom):
-            cum_atoms = np.cumsum(self.atom_masses)
-            idx = np.searchsorted(cum_atoms, targets[mask_atom], side="right")
-            idx = np.minimum(idx, self.atom_locs.size - 1)
-            out[mask_atom] = self.atom_locs[idx]
-        rest = ~mask_atom
-        if np.any(rest):
-            t = targets[rest] - self.atom_mass
-            out[rest] = np.interp(t, self.cum, self.grid)
+        out[order] = np.interp(targets[order], self.cum, self.grid)
         return out
 
 
-def _small_jump_stats(nu, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """(covariance of jumps with r <= eps, centering defect vector)."""
-    d = nu.d
-    cov = np.zeros((d, d))
-    shift = np.zeros(d)
-    for dirn, rc in nu.components:
-        xi = dirn.array
-        m2 = integrate(rc, lambda r: r * r, (0.0, eps), abs_tol=1e-12)
-        small = integrate(rc, lambda r: r ** 3 / (1.0 + r * r), (0.0, eps), abs_tol=1e-12)
-        cov += rc.weight * m2 * np.outer(xi, xi)
-        shift += rc.weight * small * xi
-    return cov, shift
+# the integrands of the small-jump second moment, the small-jump centering
+# defect and the big-jump centering
+def _square(r):
+    return r * r
 
 
-def _big_jump_centering(nu, eps: float) -> np.ndarray:
-    d = nu.d
-    out = np.zeros(d)
-    for dirn, rc in nu.components:
-        val = integrate(rc, lambda r: r / (1.0 + r * r), (eps, math.inf),
-                        abs_tol=1e-12, g_moment=-1.0)
-        out += rc.weight * val * dirn.array
-    return out
+def _small_defect(r):
+    return r ** 3 / (1.0 + r * r)
+
+
+def _centering(r):
+    return r / (1.0 + r * r)
 
 
 @dataclass
 class _Machine:
-    """Precomputed sampling ingredients shared across paths."""
+    """Precomputed sampling ingredients shared across paths. The K jump
+    components are those with jumps above eps, in measure order."""
 
     d: int
     drift: np.ndarray              # b_eps
     gauss_root: np.ndarray | None  # Sigma^(1/2), None when Sigma = 0
     comp_root: np.ndarray | None   # small-jump covariance^(1/2)
-    jumps: list[tuple[int, _JumpTable, np.ndarray]]  # (component index, table, xi)
+    xi: np.ndarray                 # K x d directions
+    rates: np.ndarray              # K jump rates
+    mass: np.ndarray               # K radial masses above eps, atoms first
+    atom_mass: np.ndarray          # K atom masses above eps
+    atom_locs: np.ndarray          # the atoms above eps, component by component
+    atom_cum: np.ndarray           # their running mass across components
+    atom_base: np.ndarray          # K running masses before each component's atoms
+    atom_last: np.ndarray          # K indices of each component's last atom
+    tables: list[tuple[int, _JumpTable]]  # (component, table) for tabulated densities
+
+    def radii(self, comp: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Jump radii by inverse CDF over each jump's component: uniforms u in
+        [0, 1) index its atoms first, then its density table."""
+        targets = u * self.mass[comp]
+        out = np.empty_like(targets)
+        on_atom = targets < self.atom_mass[comp]
+        if np.any(on_atom):
+            # the search starts at the component's first atom; rounding may
+            # carry it past its last
+            k = comp[on_atom]
+            idx = np.searchsorted(self.atom_cum, self.atom_base[k] + targets[on_atom],
+                                  side="right")
+            out[on_atom] = self.atom_locs[np.minimum(idx, self.atom_last[k])]
+        for k, tab in self.tables:
+            sel = (comp == k) & ~on_atom
+            out[sel] = tab.sizes(targets[sel] - self.atom_mass[k])
+        return out
 
 
 def _sqrt_or_none(mat: np.ndarray) -> np.ndarray | None:
@@ -203,34 +208,78 @@ def _sqrt_or_none(mat: np.ndarray) -> np.ndarray | None:
 
 
 def _build_machine(t: Triplet, cfg: SimConfig) -> _Machine:
-    jumps = []
-    for idx, (dirn, rc) in enumerate(t.nu.components):
-        tab = _JumpTable(rc, cfg.eps)
-        if tab.rate > 0.0:
-            jumps.append((idx, tab, dirn.array))
-    if not jumps and not t.nu.is_zero():
+    eps = cfg.eps
+    comps = t.nu.components
+    n_comps = len(comps)
+    xi = np.array([dirn.coords for dirn, _ in comps], float).reshape(n_comps, t.d)
+    weight = np.array([rc.weight for _, rc in comps], float)
+    # every atom, in the order integrate() adds them: by component, then by
+    # location
+    owner = np.array([k for k, (_, rc) in enumerate(comps) for _ in rc.atoms], np.intp)
+    locs = np.array([loc for _, rc in comps for loc, _ in rc.atoms], float)
+    masses = np.array([mass for _, rc in comps for _, mass in rc.atoms], float)
+    big = locs > eps
+
+    def atom_sums(g, sel):
+        # bincount of no weights counts in integers
+        return np.bincount(owner[sel], g(locs[sel]) * masses[sel], n_comps).astype(float)
+
+    m2 = atom_sums(_square, ~big)
+    defect = atom_sums(_small_defect, ~big)
+    centering = atom_sums(_centering, big)
+    atom_mass = atom_sums(np.ones_like, big)  # the integral of 1 over (eps, oo)
+    dens_mass = np.zeros(n_comps)
+    tables = {}
+    for k, (_, rc) in enumerate(comps):
+        if rc.density is None:
+            continue
+        dens = RadialComponent(density=rc.density)
+        m2[k] += integrate(dens, _square, (0.0, eps), abs_tol=1e-12)
+        defect[k] += integrate(dens, _small_defect, (0.0, eps), abs_tol=1e-12)
+        centering[k] += integrate(dens, _centering, (eps, math.inf),
+                                  abs_tol=1e-12, g_moment=-1.0)
+        tab = _JumpTable(rc.density, eps)
+        if tab.mass > 0.0:
+            tables[k] = tab
+            dens_mass[k] = tab.mass
+    mass = atom_mass + dens_mass
+    rates = weight * mass
+    live = np.flatnonzero(mass > 0.0)
+    if not live.size and not t.nu.is_zero():
         warnings.warn("jump cut eps leaves zero jump rate for a nonzero measure",
                       ConfigError)
-    cov, shift = _small_jump_stats(t.nu, cfg.eps)
-    drift = t.gamma - _big_jump_centering(t.nu, cfg.eps) + shift
-    comp = _sqrt_or_none(cov) if cfg.compensate_small_jumps else None
-    return _Machine(t.d, drift, _sqrt_or_none(t.Sigma), comp, jumps)
+
+    cov = ((weight * m2)[:, None, None] * (xi[:, :, None] * xi[:, None, :])).sum(axis=0)
+    shift = ((weight * defect)[:, None] * xi).sum(axis=0)
+    drift = t.gamma - ((weight * centering)[:, None] * xi).sum(axis=0) + shift
+
+    # the atoms above eps all belong to live components: index them among those
+    atom_owner = np.searchsorted(live, owner[big])
+    atom_cum = np.cumsum(masses[big])
+    first = np.searchsorted(atom_owner, np.arange(live.size), side="left")
+    last = np.searchsorted(atom_owner, np.arange(live.size), side="right") - 1
+    return _Machine(
+        t.d, drift, _sqrt_or_none(t.Sigma),
+        _sqrt_or_none(cov) if cfg.compensate_small_jumps else None,
+        xi[live], rates[live], mass[live], atom_mass[live], locs[big], atom_cum,
+        np.concatenate([[0.0], atom_cum])[first], last,
+        [(int(np.searchsorted(live, k)), tab) for k, tab in tables.items()])
 
 
 class _Streams:
-    """Philox streams keyed by (seed, block); the two upper counter words hold
-    (component, kind), so no two streams share a counter value."""
+    """Philox streams keyed by (seed, block); the top counter word holds the
+    variate kind, so no two streams share a counter value."""
 
     def __init__(self, seed: int):
         self._seed = seed & 0xFFFFFFFFFFFFFFFF
         self._bits = np.random.Philox(key=np.array([self._seed, 0], np.uint64))
         self._gen = np.random.Generator(self._bits)
 
-    def __call__(self, block: int, kind: int, comp: int = 0) -> np.random.Generator:
+    def __call__(self, block: int, kind: int) -> np.random.Generator:
         # re-keying one generator costs a quarter of constructing a new one
         self._bits.state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, comp, kind], np.uint64),
+            "state": {"counter": np.array([0, 0, 0, kind], np.uint64),
                       "key": np.array([self._seed, block], np.uint64)},
             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
@@ -259,6 +308,8 @@ def _sample(t: Triplet, spec: IntegrandSpec, cfg: SimConfig) -> SampleSet:
     gauss = None if mach.gauss_root is None else scale * mach.gauss_root
     comp = None if mach.comp_root is None else scale * mach.comp_root
     drift = spec.lin_integral * mach.drift
+    n_comp = mach.rates.size
+    lam = mach.rates * spec.T
     streams = _Streams(cfg.seed)
     out = np.empty((cfg.paths, mach.d))
     for block, lo in enumerate(range(0, cfg.paths, BLOCK_PATHS)):
@@ -267,13 +318,18 @@ def _sample(t: Triplet, spec: IntegrandSpec, cfg: SimConfig) -> SampleSet:
         x[:] = drift
         if gauss is not None:
             x += _normals(streams(block, _GAUSS), gauss, n)
-        for idx, tab, xi in mach.jumps:
-            counts = streams(block, _COUNTS, idx).poisson(tab.rate * spec.T, n)
-            total = int(counts.sum())
-            if total:
-                u = streams(block, _JUMPS, idx).random((total, 2))
-                w = spec.f(spec.T * (1.0 - u[:, 1])) * tab.sizes(u[:, 0])
-                x += np.outer(np.bincount(np.repeat(np.arange(n), counts), w, n), xi)
+        if n_comp:
+            counts = streams(block, _COUNTS).poisson(lam, (n, n_comp))
+            slot = np.repeat(np.arange(n * n_comp), counts.ravel())
+            if slot.size:
+                u = streams(block, _JUMPS).random((slot.size, 2))
+                w = spec.f(spec.T * (1.0 - u[:, 1])) * mach.radii(slot % n_comp, u[:, 0])
+                # sum per (path, component), then over components per path:
+                # with one component that is its sum times xi, as a product
+                per = np.bincount(slot, w, n * n_comp).reshape(n, n_comp)
+                rows = np.repeat(np.arange(n), n_comp)
+                for j in range(mach.d):
+                    x[:, j] += np.bincount(rows, (per * mach.xi[:, j]).ravel(), n)
         if comp is not None:
             x += _normals(streams(block, _COMP), comp, n)
     return SampleSet(mach.d, out, cfg)
@@ -299,11 +355,10 @@ def empirical_cf(s: SampleSet, zgrid: Sequence[Sequence[float]]) -> CharFnGrid:
     if s.draws.shape[0] == 0:
         raise ValueError("empty sample set")
     pts = tuple(tuple(float(x) for x in np.atleast_1d(z)) for z in zgrid)
-    vals = []
-    for z in pts:
-        phase = s.draws @ np.asarray(z)
-        vals.append(complex(np.mean(np.exp(1j * phase))))
-    return CharFnGrid(pts, tuple(vals))
+    # one row of phases per z point, so each mean sums a contiguous row
+    phase = np.array(pts, float).reshape(len(pts), s.d) @ s.draws.T
+    vals = np.exp(1j * phase).mean(axis=1)
+    return CharFnGrid(pts, tuple(complex(v) for v in vals))
 
 
 def cf_distance(a: CharFnGrid, b: CharFnGrid) -> float:

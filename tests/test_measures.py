@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import levyarc as la
 from levyarc.errors import MalformedMeasure
-from levyarc.measures import (Density, PowerImageDensity, integrate, integrate_batch,
-                              power_reparam, tail, validate)
+from levyarc.measures import (Density, PowerImageDensity, _power_map_density, integrate,
+                              integrate_batch, power_reparam, tail, validate)
 
 # strategies for small well-formed radial measures
 atom_lists = st.lists(
@@ -214,6 +214,14 @@ def test_power_image_of_a_table_is_exact():
     assert isinstance(rc.density, PowerImageDensity)
     assert abs(integrate(rc, lambda r: 1.0, (0.0, math.inf)) - 1.0) <= 1e-12
     assert rc.density.value(2.25) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("dens", [la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0),
+                                  la.TableDensity((1.0, 2.0), (1.0, 1.0))])
+def test_power_map_rejects_exponents_other_than_2_and_half(dens):
+    # exp_power used to map every exponent but 2 as 1/2
+    with pytest.raises(MalformedMeasure, match="2 or 1/2"):
+        _power_map_density(dens, 3.0)
 
 
 @pytest.mark.parametrize("e", [2.0, 0.5])
