@@ -601,11 +601,7 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
                and (hi >= dens.support[1]))
     # break points: the density's kinks and, over a long finite range, one
     # mark per decade
-    points = [x for x in dens.kinks() if lo < x < hi]
-    if math.isfinite(hi):
-        points += _decade_marks(lo, hi)
-    pts = np.asarray(points, float)
-    blowups = dens.interior_singular_radii()
+    pts = np.concatenate([dens.kinks(), _decade_marks(lo, hi) if math.isfinite(hi) else ()])
     if n == 1 or dens.depth == 0:
         def f(r: np.ndarray, k: np.ndarray) -> np.ndarray:
             return g(r, k) * dens.values(r)
@@ -617,7 +613,7 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
             return g(r, k) * dens.values(nodes)[back]
     return quad_batch(f, n, lo, hi,
                       abs_tol=abs_tol, singular_left=sing_lo, singular_right=sing_hi,
-                      points=lambda k: pts, blowups=lambda k: blowups,
+                      points=pts, blowups=np.asarray(dens.interior_singular_radii(), float),
                       label="radial integral")
 
 

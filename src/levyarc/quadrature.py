@@ -9,7 +9,10 @@ _pieces():
   batch of integrals at once. Each integral keeps its own list of
   subintervals; every pass evaluates the bisected subintervals of all
   unfinished integrals in one call of a vectorised integrand f(x, k), where
-  k is the index of the integral each node belongs to.
+  k is the index of the integral each node belongs to. The initial
+  subintervals of a whole group of integrals are built with array
+  operations, and a pass issues a fixed number of numpy calls however many
+  integrals it refines.
 
 * adaptive_quad() integrates one callable that takes floats, through scipy's
   QUADPACK. It serves the public API and the special-function oracles, which
@@ -95,21 +98,46 @@ _WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
 _X21 = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _WK21 = np.array(list(_WGK[:-1]) + list(_WGK[::-1]))
 _WG21 = np.zeros(21)
-for _j in range(10):
-    if _j % 2:
-        _WG21[_j] = _WG21[20 - _j] = _WG[_j // 2]
+_WG21[1:10:2] = _WG21[19:10:-2] = _WG
+_W21 = np.stack([_WK21, _WG21])
 _EPMACH = np.finfo(float).eps
-_UFLOW = np.finfo(float).tiny
+_RESABS_MIN = np.finfo(float).tiny / (50.0 * _EPMACH)
 
 # piece kinds: the map from the piece variable t to the integration variable
 _PLAIN, _LEFT, _RIGHT, _INF = range(4)
+# rows of the engine's cell table: the ends of each subinterval in its piece
+# variable, the piece's anchor and kind, and the qk21 value and error estimate
+_LO, _HI, _ANCHOR, _KIND, _VAL, _ERR = range(6)
+_NO_POINTS = np.empty(0)
+# the columns, among (0, 1, 2, 3, a, b, m, sqrt(m - a), sqrt(b - m)), of the
+# kind, anchor, lo and hi of a range's two pieces (see _pieces), by its
+# (singular left, singular right, infinite) flags; -1 marks no piece
+_PIECE_COLUMNS = np.full((2, 2, 2, 2, 4), -1)
+for _case, _slots in {(0, 0, 0): [(0, 4, 4, 5)], (0, 0, 1): [(-1,) * 4, (3, 4, 4, 5)],
+                      (1, 0, 0): [(1, 4, 0, 7), (0, 6, 6, 5)], (1, 0, 1): [(1, 4, 0, 7), (3, 6, 6, 5)],
+                      (0, 1, 0): [(0, 4, 4, 6), (2, 5, 0, 8)],
+                      (1, 1, 0): [(1, 4, 0, 7), (2, 5, 0, 8)]}.items():
+    _PIECE_COLUMNS[_case][:len(_slots)] = _slots
 
 
-def _pieces(a: float, b: float, singular_left: bool, singular_right: bool,
-            points: Sequence[float] | None,
-            blowups: Sequence[float] | None = None) -> list[tuple[int, float, float, float, np.ndarray]]:
-    """(kind, anchor, lo, hi, break points) per piece of the integral over
-    (a, b), all in the piece variable t:
+def _split(lo: np.ndarray, hi: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The row and ends of every subrange, in order, of the ranges (lo[i],
+    hi[i]) cut at the entries of row i of inner (inside it, or NaN)."""
+    m, p = inner.shape
+    if not p:
+        return np.arange(m), lo, hi
+    inner = np.sort(inner, axis=1)  # NaN sorts last
+    edges = np.empty((m, p + 2))
+    edges[:, 0], edges[:, -1] = lo, hi
+    edges[:, 1:-1] = np.fmin(inner, hi[:, None])  # NaN pads become hi
+    valid = np.concatenate([np.ones((m, 1), bool), inner == inner], axis=1)  # not NaN
+    return valid.nonzero()[0], edges[:, :-1][valid], edges[:, 1:][valid]
+
+
+def _pieces(a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
+            singular_right: np.ndarray, blowups: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pieces of the integrals over (a[i], b[i]), in order: the row i,
+    kind, anchor and ends lo and hi in the piece variable t of each:
 
     _PLAIN  x = t on (a, b);
     _LEFT   x = a + t**2, t in (0, sqrt(m - a)), for a blowup at a;
@@ -117,49 +145,74 @@ def _pieces(a: float, b: float, singular_left: bool, singular_right: bool,
     _INF    x = anchor + t/(1 - t) in the engine; lo and hi stay in x
             (hi = inf) and QUADPACK maps the range itself.
 
-    A finite range with a blowup at either end splits at its midpoint m;
-    only the half next to a blowup is mapped, the other is _PLAIN. Interior
-    blowups split the range first, each becoming a singular end of the
-    ranges on either side."""
-    cuts: list[float] = []
-    for c in sorted(blowups if blowups is not None else ()):
-        if a < c < b and (not cuts or c - cuts[-1] > 1e-12 * c):
-            cuts.append(c)
-    if cuts:
-        edges = [a] + cuts + [b]
-        last = len(edges) - 2
-        return [p for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
-                for p in _pieces(lo, hi, singular_left or i > 0, singular_right or i < last,
-                                 points)]
-    pts = np.asarray(points if points is not None else (), float)
-
-    def piece(kind: int, anchor: float, lo: float, hi: float):
-        if not pts.size:
-            return kind, anchor, lo, hi, pts
-        if kind == _LEFT:
-            inner = np.sqrt(pts[pts > anchor] - anchor)
-        elif kind == _RIGHT:
-            inner = np.sqrt(anchor - pts[pts < anchor])
-        else:
-            inner = pts
-        return kind, anchor, lo, hi, np.sort(inner[(inner > lo) & (inner < hi)])
-
-    if math.isinf(b):
-        if singular_right:
-            raise ValueError("cannot have a right singularity at an infinite endpoint")
-        if singular_left:
-            cut = a + max(1.0, abs(a))
-            return [piece(_LEFT, a, 0.0, math.sqrt(cut - a)), piece(_INF, cut, cut, math.inf)]
-        return [piece(_INF, a, a, math.inf)]
-    if not (singular_left or singular_right):
-        return [piece(_PLAIN, a, a, b)]
+    A finite range with a blowup at either end splits at its midpoint m,
+    an unbounded one at m = a + max(1, |a|); only a half next to a blowup is
+    mapped. Blowups (a row shared by all, or a NaN-padded row each) cut the
+    ranges first, bar one within 1e-12 of the cut before."""
+    sl, sr, inf = singular_left, singular_right, np.isinf(b)
+    if np.count_nonzero(sr & inf):
+        raise ValueError("cannot have a right singularity at an infinite endpoint")
+    row = np.arange(a.size)
+    if blowups.size:
+        c = np.broadcast_to(np.sort(blowups, axis=-1), (a.size, blowups.shape[-1]))
+        inside = (a[:, None] < c) & (c < b[:, None])
+        cuts, last = np.full(c.shape, np.nan), np.full(a.size, np.nan)
+        for j in range(c.shape[1]):
+            keep = inside[:, j] & ~(c[:, j] - last <= 1e-12 * c[:, j])
+            cuts[keep, j] = c[keep, j]
+            last = np.where(keep, c[:, j], last)
+        row, a, b = _split(a, b, cuts)
+        # a subrange after the first starts, one before the last ends, at a cut
+        inf, sl, sr, same = np.isinf(b), sl[row], sr[row], row[1:] == row[:-1]
+        sl[1:] |= same
+        sr[:-1] |= same
+    if not np.count_nonzero(sl | sr):
+        return row, inf * float(_INF), a, a, b
     # the map stops at the midpoint: b - t**2 resolves x near a only to the
     # absolute rounding of b, so the half away from a blowup stays plain
-    mid = 0.5 * (a + b)
-    return [piece(_LEFT, a, 0.0, math.sqrt(mid - a)) if singular_left
-            else piece(_PLAIN, a, a, mid),
-            piece(_RIGHT, b, 0.0, math.sqrt(b - mid)) if singular_right
-            else piece(_PLAIN, mid, mid, b)]
+    mid = np.where(inf, a + np.maximum(1.0, np.abs(a)), 0.5 * (a + b))
+    values = np.empty((a.size, 9))
+    values[:, :4] = _PLAIN, _LEFT, _RIGHT, _INF
+    values[:, 4], values[:, 5], values[:, 6] = a, b, mid
+    values[:, 7], values[:, 8] = np.sqrt(mid - a), np.sqrt(b - mid)
+    cols = _PIECE_COLUMNS[sl.view(np.int8), sr.view(np.int8), inf.view(np.int8)]
+    has = cols[:, :, 0] >= 0
+    table = values[np.arange(a.size)[:, None, None], cols][has]
+    return row[has.nonzero()[0]], table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+
+
+def _piece_points(kind: np.ndarray, anchor: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The break points (one row shared by all pieces, or one row each) in
+    every piece's variable, one row per piece, NaN where not strictly inside."""
+    if not points.shape[-1]:
+        return np.empty((kind.size, 0))
+    t, mapped = points, (kind == _LEFT) | (kind == _RIGHT)
+    if mapped.any():
+        d = np.where((kind == _RIGHT)[:, None], anchor[:, None] - points, points - anchor[:, None])
+        t = np.where(mapped[:, None], np.sqrt(np.where(d > 0.0, d, np.nan)), points)
+    return np.where((t > lo[:, None]) & (t < hi[:, None]), t, np.nan)
+
+
+def _partition(a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
+               singular_right: np.ndarray, points: np.ndarray,
+               blowups: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Initial cells of the integrals over (a[i], b[i]): the row of each,
+    the cell table (value and error rows unset) and the piece kinds present.
+    _INF cells map to d/(1 + d), d = x - anchor (inf clamps to 1)."""
+    row, kind, anchor, lo, hi = _pieces(a, b, singular_left, singular_right, blowups)
+    if points.shape[-1]:
+        piece, lo, hi = _split(lo, hi, _piece_points(
+            kind, anchor, lo, hi, points[row] if points.ndim == 2 else points))
+        row, kind, anchor = row[piece], kind[piece], anchor[piece]
+    cells = np.empty((6, row.size))
+    cells[_LO], cells[_HI], cells[_ANCHOR], cells[_KIND] = lo, hi, anchor, kind
+    kinds = np.bincount(kind.astype(np.intp), minlength=4).nonzero()[0].tolist()
+    if _INF in kinds:
+        inf = kind == _INF
+        d = np.minimum(cells[_LO:_HI + 1, inf] - anchor[inf], np.finfo(float).max)
+        cells[_LO:_HI + 1, inf] = d / (1.0 + d)
+    return row, cells, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +239,10 @@ def _quad_once(f: Callable[[float], float], a: float, b: float,
     return value, err
 
 
-def _sub_left(f: Callable[[float], float], a: float) -> Callable[[float], float]:
-    def g(w: float) -> float:
-        if w == 0.0:
-            return 0.0
-        return 2.0 * w * f(a + w * w)
-    return g
-
-
-def _sub_right(f: Callable[[float], float], b: float) -> Callable[[float], float]:
-    def g(v: float) -> float:
-        if v == 0.0:
-            return 0.0
-        return 2.0 * v * f(b - v * v)
-    return g
+def _substituted(f: Callable[[float], float], anchor: float,
+                 sign: float) -> Callable[[float], float]:
+    """The integrand in w after x = anchor + sign * w**2."""
+    return lambda w: 0.0 if w == 0.0 else 2.0 * w * f(anchor + sign * (w * w))
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float, *,
@@ -216,14 +259,16 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, *,
     """
     if not (b > a):
         return 0.0
-    pieces = _pieces(a, b, singular_left, singular_right, points)
-    per_tol = abs_tol / len(pieces)
+    _, kinds, anchors, los, his = _pieces(
+        np.array([a], float), np.array([b], float), np.array([singular_left], bool),
+        np.array([singular_right], bool), _NO_POINTS)
+    inner = _piece_points(kinds, anchors, los, his,
+                          np.asarray(points if points is not None else (), float))
     total = 0.0
-    for kind, anchor, lo, hi, pts in pieces:
-        g = {_PLAIN: f, _INF: f, _LEFT: _sub_left(f, anchor),
-             _RIGHT: _sub_right(f, anchor)}[kind]
-        value, _ = _quad_once(g, lo, hi, per_tol, pts.tolist(), label)
-        total += value
+    for kind, anchor, lo, hi, pts in zip(kinds.tolist(), anchors.tolist(), los.tolist(),
+                                         his.tolist(), inner):
+        g = _substituted(f, anchor, 1.0 if kind == _LEFT else -1.0) if kind in (_LEFT, _RIGHT) else f
+        total += _quad_once(g, lo, hi, abs_tol / kinds.size, pts[~np.isnan(pts)].tolist(), label)[0]
     return total
 
 
@@ -231,223 +276,189 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, *,
 # the batched Gauss-Kronrod engine
 # ---------------------------------------------------------------------------
 
-def _map(t: np.ndarray, kind: np.ndarray, anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The integration variable x and the jacobian dx/dt at the nodes t of
-    subintervals of the given piece kinds (one row per subinterval)."""
-    x = t.copy()
-    jac = np.ones_like(t)
-    for code in (_LEFT, _RIGHT, _INF):
-        rows = kind == code
-        if not rows.any():
-            continue
-        tr = t[rows]
-        anc = anchor[rows, None]
-        if code == _INF:
-            q = 1.0 - tr
-            end = q <= 0.0  # the node stands for x = inf, with no weight
-            q[end] = 1.0
-            x[rows] = np.where(end, math.inf, anc + tr / q)
-            jac[rows] = np.where(end, 0.0, 1.0 / (q * q))
-        else:
-            x[rows] = anc + tr * tr if code == _LEFT else anc - tr * tr
-            jac[rows] = 2.0 * tr
-    return x, jac
+def _map(t: np.ndarray, kind: np.ndarray, anchor: np.ndarray,
+         kinds: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
+    """x and dx/dt at nodes t of subintervals (one row each) of the given
+    kinds, of which kinds lists those present, not just _PLAIN."""
+    if len(kinds) > 1:
+        x, jac = t.copy(), np.ones_like(t)
+        for code in set(kinds) - {_PLAIN}:
+            rows = kind == code
+            x[rows], jac[rows] = _map(t[rows], kind[rows], anchor[rows], [code])
+        return x, jac
+    anchor = anchor[:, None]
+    if kinds[0] == _INF:
+        q = 1.0 - t
+        end = q <= 0.0  # the node stands for x = inf, with no weight
+        q[end] = 1.0
+        return np.where(end, math.inf, anchor + t / q), np.where(end, 0.0, 1.0 / (q * q))
+    return (anchor + t * t if kinds[0] == _LEFT else anchor - t * t), 2.0 * t
 
 
-def _gk21(f, owner: np.ndarray, kind: np.ndarray, anchor: np.ndarray,
-          lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """qk21 value and error estimate of every subinterval, in the integration
-    variable, evaluating f in chunks of CHUNK_INTERVALS subintervals."""
-    m = owner.size
-    val = np.empty(m)
-    err = np.empty(m)
-    for s in range(0, m, CHUNK_INTERVALS):
-        sl = slice(s, s + CHUNK_INTERVALS)
-        half = 0.5 * (hi[sl] - lo[sl])
-        t = (0.5 * (lo[sl] + hi[sl]))[:, None] + half[:, None] * _X21
-        kd = kind[sl]
-        x, jac = _map(t, kd, anchor[sl]) if kd.any() else (t, None)
-        fv = np.asarray(f(x.ravel(), np.repeat(owner[sl], 21)), float)
-        fv = np.broadcast_to(fv, (x.size,)).reshape(x.shape)
-        if jac is not None:
-            fv = fv * jac
-        fw = fv * _WK21
-        resk = fw.sum(axis=1)
-        resg = (fv * _WG21).sum(axis=1)
-        ah = np.abs(half)
-        resabs = np.abs(fw).sum(axis=1) * ah
-        resasc = (np.abs(fv - 0.5 * resk[:, None]) * _WK21).sum(axis=1) * ah
-        e = np.abs((resk - resg) * half)
-        scaled = (resasc != 0.0) & (e != 0.0)
-        ratio = np.ones_like(e)
-        np.divide(200.0 * e, resasc, out=ratio, where=scaled)
-        e = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, e)
-        e = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(50.0 * _EPMACH * resabs, e), e)
-        val[sl] = resk * half
-        err[sl] = e
-    return val, err
-
-
-def _partition(a: float, b: float, singular_left: bool, singular_right: bool,
-               points, blowups) -> tuple[np.ndarray, ...]:
-    """Initial cells of one integral: their piece kinds, anchors, and lower
-    and upper ends in the piece variable."""
-    kinds, anchors, edges = [], [], []
-    for kind, anchor, lo, hi, inner in _pieces(a, b, singular_left, singular_right,
-                                               points, blowups):
-        if kind == _INF:
-            lo, hi = 0.0, 1.0
-            d = inner - anchor
-            inner = d / (1.0 + d)
-        edges.append(np.concatenate(([lo], inner, [hi])))
-        kinds += [kind] * (edges[-1].size - 1)
-        anchors += [anchor] * (edges[-1].size - 1)
-    return (np.array(kinds), np.array(anchors, float),
-            np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]))
+def _gk21(f, key: np.ndarray, cells: np.ndarray, kinds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """qk21 value and error estimate of every subinterval of a cell table,
+    in the integration variable; key holds the integral index of each.
+    Beyond CHUNK_INTERVALS subintervals f is called once per chunk."""
+    if key.size > CHUNK_INTERVALS:
+        parts = [_gk21(f, key[s:s + CHUNK_INTERVALS], cells[:, s:s + CHUNK_INTERVALS], kinds)
+                 for s in range(0, key.size, CHUNK_INTERVALS)]
+        return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+    lo, hi = cells[_LO], cells[_HI]
+    half = 0.5 * (hi - lo)  # >= 0, so it is its own absolute value
+    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _X21
+    x, jac = (t, None) if kinds == [_PLAIN] else _map(t, cells[_KIND], cells[_ANCHOR], kinds)
+    fv = np.asarray(f(x.ravel(), key.repeat(21)), float).reshape(t.shape)
+    if jac is not None:
+        fv = fv * jac
+    # two rows of 21 nodes per reduction: both rules, then |f|, |f - mean|
+    fw = fv[:, None, :] * _W21
+    resk, resg = np.add.reduce(fw, 2).T
+    dev = np.abs(fw)
+    np.multiply(np.abs(fv - 0.5 * resk[:, None]), _WK21, out=dev[:, 1])
+    resabs, resasc = (np.add.reduce(dev, 2) * half[:, None]).T
+    e = np.abs((resk - resg) * half)
+    scaled = (resasc != 0.0) & (e != 0.0)
+    ratio = 200.0 * e / np.where(scaled, resasc, 1.0)
+    e = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, e)
+    # at least 50 ulp of resabs where that is not below the underflow limit
+    return resk * half, np.maximum(e, np.where(resabs > _RESABS_MIN, 50.0 * _EPMACH * resabs, 0.0))
 
 
 def quad_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
                a, b, *, abs_tol=DEFAULT_ABS_TOL,
                singular_left=False, singular_right=False,
-               points: Callable[[int], Sequence[float] | None] | None = None,
-               blowups: Callable[[int], Sequence[float] | None] | None = None,
+               points: np.ndarray | None = None, blowups: np.ndarray | None = None,
                label: str | Callable[[int], str] = "integral") -> np.ndarray:
-    """The n integrals of x -> f(x, k) over (a[k], b[k]), k = 0..n-1, as an
-    array.
+    """The n integrals of x -> f(x, k) over (a[k], b[k]), k = 0..n-1.
 
     f takes an array of abscissae and the equally long array of integral
-    indices they belong to, and returns the integrand values there. a, b,
-    abs_tol and the two singular flags are scalars or length-n arrays; b may
-    be inf. points(k) returns the break points of integral k and blowups(k)
-    its integrable interior blowups (either may return None). label is a
-    string or a function of k naming integral k in the error raised when it
-    does not converge; with several failures the lowest k is named.
+    indices they belong to. a, b (possibly inf), abs_tol and the singular
+    flags are scalars or length-n arrays. points (break points) and blowups
+    (integrable interior blowups) are each one 1-D array shared by every
+    integral, or an (n, P) array with row k for integral k, padded with NaN.
+    label names integral k, as a string or a function of k, in the error
+    raised when it does not converge; of several failures the lowest k.
 
-    Each integral keeps its own subintervals. A pass bisects, in every
+    Integrals go in groups of at most GROUP_CELLS initial subintervals (or
+    of one integral), built with array operations; one integral's serve all
+    when ranges, flags, points and blowups are shared. A pass bisects, in every
     unfinished integral, each subinterval whose error estimate exceeds the
-    integral's stopping target divided by its number of subintervals, and
-    evaluates all new halves in one call of f. Integrals are taken in
-    groups of about GROUP_CELLS initial subintervals, which bounds the
-    memory of a large batch; no integral's result depends on its company.
-    Consecutive integrals with equal ranges, flags, break points and
-    blowups share one initial partition, built once.
+    integral's stopping target over its number of subintervals, and
+    evaluates all new halves in one call of f. No integral's result depends
+    on its company.
     """
-    tol = np.broadcast_to(np.asarray(abs_tol, float), (n,))
-    a, b, sing_l, sing_r = (np.broadcast_to(np.asarray(v), (n,)).tolist()
-                            for v in (np.asarray(a, float), np.asarray(b, float),
-                                      singular_left, singular_right))
-    result = np.zeros(n)
-    failures: list[tuple[int, float, float]] = []
-    group: list[tuple[int, tuple[np.ndarray, ...]]] = []
-    cells = 0
-    key = part = None
-    for k in range(n):
-        if not b[k] > a[k]:
-            continue
-        pts = None if points is None else points(k)
-        blow = None if blowups is None else blowups(k)
-        pts = np.asarray(() if pts is None else pts, float)
-        blow = () if blow is None else tuple(blow)
-        new_key = (a[k], b[k], sing_l[k], sing_r[k], pts.tobytes(), blow)
-        if new_key != key:
-            key, part = new_key, _partition(a[k], b[k], sing_l[k], sing_r[k], pts, blow)
-        group.append((k, part))
-        cells += part[0].size
-        if cells >= GROUP_CELLS:
-            _refine(f, n, group, tol, result, failures)
-            group, cells = [], 0
-    if group:
-        _refine(f, n, group, tol, result, failures)
+    tol = np.asarray(abs_tol, float)
+    ends = [np.asarray(a, float), np.asarray(b, float),
+            np.asarray(singular_left, bool), np.asarray(singular_right, bool)]
+    pts, blow = (_NO_POINTS if v is None else np.asarray(v, float) for v in (points, blowups))
+    result, failures = np.zeros(n), []
+    shared = pts.ndim < 2 and blow.ndim < 2 and not any(v.ndim for v in ends)
+    if shared:
+        ids, step = np.arange(n if ends[1] > ends[0] else 0), 1
+        if ids.size:
+            own1, cells1, kinds = _partition(*(v.reshape(1) for v in ends), pts, blow)
+            step = max(1, GROUP_CELLS // own1.size)
+    else:
+        ends = [v if v.ndim else np.full(n, v) for v in ends]
+        ids = (ends[1] > ends[0]).nonzero()[0]
+        # two pieces per range between blowups at most, cut at every point
+        step = max(1, GROUP_CELLS // (2 * (blow.shape[-1] + 1) * (pts.shape[-1] + 1)))
+    for s in range(0, ids.size, step):
+        rows = ids[s:s + step]
+        if not shared:
+            own, cells, kinds = _partition(*(v[rows] for v in ends),
+                                           pts[rows] if pts.ndim == 2 else pts,
+                                           blow[rows] if blow.ndim == 2 else blow)
+        elif rows.size > 1:
+            own, cells = np.repeat(np.arange(rows.size), own1.size), np.tile(cells1, rows.size)
+        else:  # _refine writes only the value and error rows of the table it gets
+            own, cells = own1, cells1
+        _refine(f, rows, own, cells, kinds, tol[rows] if tol.ndim else tol, result, failures)
     if failures:
         k, value, error = min(failures)
         name = label(k) if callable(label) else label
+        lo, hi, tk = (float(np.broadcast_to(v, (n,))[k]) for v in (ends[0], ends[1], tol))
         raise QuadratureNonConvergence(
-            f"{name}: error estimate {error:.3e} exceeds tolerance {tol[k]:.3e} "
-            f"on [{a[k]:g}, {b[k]:g}]", partial=value, bound=error)
+            f"{name}: error estimate {error:.3e} exceeds tolerance {tk:.3e} "
+            f"on [{lo:g}, {hi:g}]", partial=value, bound=error)
     return result
 
 
-def _refine(f, n: int, group: list[tuple[int, tuple[np.ndarray, ...]]], tol: np.ndarray,
-            result: np.ndarray, failures: list[tuple[int, float, float]]) -> None:
-    """Run the adaptive passes of quad_batch on one group of integrals,
-    writing each value into result and each failure into failures."""
-    owner = np.repeat([k for k, _ in group], [part[0].size for _, part in group])
-    kind, anchor, lo, hi = (np.concatenate([part[j] for _, part in group]) for j in range(4))
-    limit = np.bincount(owner, minlength=n) + SPLIT_LIMIT
-    val, err = _gk21(f, owner, kind, anchor, lo, hi)
+def _refine(f, ids: np.ndarray, own: np.ndarray, cells: np.ndarray, kinds: list[int],
+            tol: np.ndarray, result: np.ndarray, failures: list[tuple[int, float, float]]) -> None:
+    """The adaptive passes of quad_batch on integrals ids, with tolerances
+    tol and cell i of the table (of the kinds listed) in integral
+    ids[own[i]]; writes values into result and failures into failures."""
+    g = ids.size
+    cells[_VAL], cells[_ERR] = _gk21(f, ids[own], cells, kinds)
+    count = np.bincount(own, minlength=g).astype(float)
+    limit, active = count + SPLIT_LIMIT, np.ones(g, bool)
     # QUADPACK's roundoff test: a bisection whose halves reproduce the value
     # to 1e-5 without lowering the error estimate counts as stalled (rounding
     # noise near a blowup grows as the nodes approach it); after
     # ROUNDOFF_LIMIT of them an integral stops refining and returns its best
     # state that passed the acceptance test
-    stalled = np.zeros(n, int)
-    best_val = np.zeros(n)
-    best_err = np.full(n, math.inf)
+    stalled, best_val, best_err = np.zeros(g), np.zeros(g), np.full(g, math.inf)
     while True:
-        value = np.bincount(owner, val, n)
-        error = np.bincount(owner, err, n)
-        count = np.bincount(owner, minlength=n)
+        lo, hi, val, err = cells[_LO], cells[_HI], cells[_VAL], cells[_ERR]
+        value = np.bincount(own, val, g)
+        error = np.bincount(own, err, g)
         accept = tol + 1e-12 * np.abs(value)
         stop = STOP_FRACTION * accept
         better = (error <= accept) & (error < best_err)
-        best_val[better] = value[better]
-        best_err[better] = error[better]
+        np.copyto(best_val, value, where=better)
+        np.copyto(best_err, error, where=better)
         done = error <= stop
-        live = ~done & (stalled < ROUNDOFF_LIMIT) & (count < limit)
+        # the error above which a subinterval is bisected: its integral's
+        # stopping target over its count of subintervals, which is never 0
+        cap = np.where(~done & (stalled < ROUNDOFF_LIMIT) & (count < limit), stop / count, math.inf)
         mid = 0.5 * (lo + hi)
-        split = (live[owner] & (err > (stop / np.maximum(count, 1))[owner])
-                 & (lo < mid) & (mid < hi))
-        refining = np.zeros(n, bool)
-        refining[owner[split]] = True
-        final = (count > 0) & ~refining
-        result[final] = value[final]
-        for k in np.flatnonzero(final & ~done):
-            if math.isfinite(best_err[k]):
-                result[k] = best_val[k]
-            else:
-                failures.append((int(k), float(value[k]), float(error[k])))
-        if not split.any():
+        split = (err > cap[own]) & (lo < mid) & (mid < hi)
+        s = split.nonzero()[0]
+        refining = np.bincount(own[s], minlength=g) > 0
+        final = active & ~refining
+        active = refining
+        if np.count_nonzero(final):
+            rescue = final & ~done
+            result[ids[final]] = np.where(rescue, best_val, value)[final]
+            bad = rescue & (best_err == math.inf)
+            failures += zip(ids[bad].tolist(), value[bad].tolist(), error[bad].tolist())
+        if not s.size:
             return
-        keep = refining[owner] & ~split
-        owner_s = owner[split]
-        c_owner = np.concatenate([owner_s, owner_s])
-        c_kind = np.tile(kind[split], 2)
-        c_anchor = np.tile(anchor[split], 2)
-        c_lo = np.concatenate([lo[split], mid[split]])
-        c_hi = np.concatenate([mid[split], hi[split]])
-        c_val, c_err = _gk21(f, c_owner, c_kind, c_anchor, c_lo, c_hi)
-        m = owner_s.size
+        # the kept cells, then the left and the right halves of the split ones
+        take = np.concatenate([(refining[own] & ~split).nonzero()[0], s, s])
+        k, m = take.size - 2 * s.size, s.size
+        own, cells = own[take], cells[:, take]
+        cells[_HI, k:k + m] = cells[_LO, k + m:] = mid[s]
+        c_val, c_err = _gk21(f, ids[own[k:]], cells[:, k:], kinds)
         pair_val = c_val[:m] + c_val[m:]
-        stall = ((np.abs(val[split] - pair_val) <= 1e-5 * np.abs(pair_val))
-                 & (c_err[:m] + c_err[m:] >= 0.99 * err[split]))
-        stalled += np.bincount(owner_s[stall], minlength=n)
-        owner = np.concatenate([owner[keep], c_owner])
-        kind = np.concatenate([kind[keep], c_kind])
-        anchor = np.concatenate([anchor[keep], c_anchor])
-        lo = np.concatenate([lo[keep], c_lo])
-        hi = np.concatenate([hi[keep], c_hi])
-        val = np.concatenate([val[keep], c_val])
-        err = np.concatenate([err[keep], c_err])
+        # the left halves still hold their parents' value and error
+        stall = ((np.abs(cells[_VAL, k:k + m] - pair_val) <= 1e-5 * np.abs(pair_val))
+                 & (c_err[:m] + c_err[m:] >= 0.99 * cells[_ERR, k:k + m]))
+        cells[_VAL, k:], cells[_ERR, k:] = c_val, c_err
+        count += np.bincount(own[k:k + m], minlength=g)
+        stalled += np.bincount(own[k:k + m], stall, g)
 
 
-def _decade_marks(lo: float, hi: float, start: float | None = None) -> list[float]:
+def _decade_marks(lo, hi, start=None) -> np.ndarray:
     """Break points one decade apart between max(lo, start) and hi, when
     that range spans more than four decades; none otherwise. start defaults
-    to hi * 1e-12.
+    to hi * 1e-12. The marks come padded with NaN, one row per element of
+    array arguments.
 
     A slowly decaying envelope can push a truncation radius many orders of
     magnitude past the scale where the mass sits, and the map of an
     unbounded range squeezes the scales below hi into a short stretch of
     t; the initial Gauss-Kronrod pass then never samples that region. A
     mark at every decade forces a subinterval at every scale."""
-    floor = max(lo, hi * 1e-12 if start is None else start)
-    marks: list[float] = []
-    if hi > 1e4 * floor:
-        x = floor * 10.0
-        while x < hi * 0.999:
-            marks.append(x)
-            x *= 10.0
-    return marks
+    hi = np.asarray(hi, float)
+    floor = np.maximum(lo, hi * 1e-12 if start is None else start)
+    # each mark is ten times the one before, as a running product
+    steps = np.full(hi.shape + (int(math.log10(max(1.0, np.max(hi / floor)))) + 2,), 10.0)
+    steps[..., 0] = floor
+    marks = np.multiply.accumulate(steps, axis=-1)[..., 1:]
+    inside = (hi > 1e4 * floor)[..., None] & (marks < (hi * 0.999)[..., None])
+    return np.where(inside, marks, np.nan)
 
 
 def exp_tail_radius(coeff: float, rate: float, power: float, tol: float,

@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ellipkm1, k0
@@ -69,16 +69,20 @@ from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
                        PolarMeasure, RadialComponent, _power_map_density,
                        integrate, power_reparam, tabulate_density, validate)
-from .quadrature import _decade_marks, quad_batch
+from .quadrature import _decade_marks, _split, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
 # on (0, oo), total mass finite near infinity and integrating u^2 near zero.
 DilationMeasure = RadialComponent
 
 INNER_ABS_TOL = 1e-12
+BREAK_POINT_BUDGET = 1 << 19  # radii x break points per radius made into arrays at once
 MAX_KERNEL_DEPTH = 2
 TWO_OVER_PI = 2.0 / math.pi
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+# the Abel evaluator's break points at every decade of the distance from a
+# piece's start, which its sine map sends to the same angles on every piece
+_SINE_MARKS = np.arcsin(np.sqrt(_decade_marks(0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,11 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     a == x, so the integrand never divides by a difference that can
     underflow. The kinks of f, mapped to s, are break points. label(i)
     names the integral at xs[i]."""
+    step = max(1, BREAK_POINT_BUDGET // (len(f.interior_singular_radii()) + 1) // (len(f.kinks()) + 11))
+    if xs.size > step:
+        return np.concatenate([_abel_integrals(f, q, xs[s:s + step], abs_tol,
+                                               lambda i, s=s: label(s + i))
+                               for s in range(0, xs.size, step)])
     lo, hi = (e ** q for e in f.support)
     his = np.full(xs.shape, hi)
     if math.isinf(hi) and f.tail_all_moments():
@@ -234,43 +243,36 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     g = f.values if q == 1.0 else lambda s: f.values(s ** (1.0 / q))
     blowups = sorted({rho ** q for rho in f.interior_singular_radii()})
     knots = np.asarray(f.kinks(), float) ** q
-    # one mark per decade of the distance from a piece's start, which the
-    # sine map sends to the same angles on every piece
-    marks = np.arcsin(np.sqrt(np.array(_decade_marks(0.0, 1.0))))
-    owner, starts, ends, anchors, tols = [], [], [], [], []
-    for i, (x, hi) in enumerate(zip(xs.tolist(), his.tolist())):
-        start = max(x, lo)
-        if hi <= start:
-            continue
-        cuts: list[float] = []
-        for c in blowups:
-            if not start < c < hi:
-                continue
-            if c - start <= 1e-12 * c:
-                # x sits at this blowup to machine resolution; g is
-                # unresolvable on the sliver, so read the integral right
-                # continuously from above
-                continue
-            if math.isfinite(hi) and hi - c <= 1e-12 * hi:
-                continue
-            if cuts and c - cuts[-1] <= 1e-12 * c:
-                continue
-            cuts.append(c)
-        edges = [start] + cuts + [hi]
-        for a, b in zip(edges, edges[1:]):
-            owner.append(i)
-            starts.append(a)
-            ends.append(b)
-            anchors.append(x)
-            tols.append(abs_tol / (len(edges) - 1))
-    if not owner:
-        return np.zeros(xs.size)
-    a = np.array(starts)
-    b = np.array(ends)
-    x = np.array(anchors)
+    starts = np.maximum(xs, lo)
+    rows = np.flatnonzero(his > starts)
+    starts, his = starts[rows], his[rows]
+    # cut at the blowups but those within 1e-12 of a finite end, of the cut
+    # before, or of the start (x sits at the blowup to machine resolution:
+    # g is unresolvable on the sliver, so read the integral from above)
+    cuts = np.full((rows.size, len(blowups)), np.nan)
+    last = starts
+    for j, c in enumerate(blowups):
+        keep = ((starts < c) & (c < his) & (c - last > 1e-12 * c)
+                & ~(np.isfinite(his) & (his - c <= 1e-12 * his)))
+        cuts[keep, j] = c
+        last = np.where(keep, c, last)
+    piece, a, b = _split(starts, his, cuts)
+    owner, tols = rows[piece], abs_tol / np.bincount(piece)[piece]
+    x = xs[owner]
     finite = np.isfinite(b)
     span = np.where(finite, b - a, 0.0)
     lead = a - x
+    # a finite piece runs on (0, pi/2) with the decade marks and the kinks
+    # inside sine-mapped as break points, an unbounded one on (a, oo)
+    ends, points = (0.0, 0.5 * math.pi, False), _SINE_MARKS
+    if knots.size or not finite.all():
+        ends = (np.where(finite, 0.0, a), np.where(finite, 0.5 * math.pi, b), ~finite)
+        points = np.where(finite[:, None], _SINE_MARKS, np.nan)
+    if knots.size:
+        inside = (knots > a[:, None]) & (knots < b[:, None])
+        rel = np.where(inside, (knots - a[:, None]) / np.where(finite, span, 1.0)[:, None], np.nan)
+        mapped = np.where(finite[:, None], np.arcsin(np.sqrt(rel)), knots)
+        points = np.concatenate([points, np.where(inside, mapped, np.nan)], axis=1)
 
     def sine_mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         # s - x = (a - x) + span sin^2(t): no difference that can cancel, and
@@ -293,18 +295,8 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
         out[~fin] = g(s) / np.sqrt(s - x[k[~fin]])
         return out
 
-    def points(k: int) -> np.ndarray:
-        pts = knots[(knots > a[k]) & (knots < b[k])]
-        if not finite[k]:
-            return pts
-        if not pts.size:
-            return marks
-        return np.concatenate([marks, np.arcsin(np.sqrt((pts - a[k]) / span[k]))])
-
-    vals = quad_batch(integrand, len(owner), np.where(finite, 0.0, a),
-                      np.where(finite, 0.5 * math.pi, b),
-                      abs_tol=np.array(tols), singular_left=~finite, points=points,
-                      label=lambda k: label(owner[k]))
+    vals = quad_batch(integrand, owner.size, ends[0], ends[1], abs_tol=tols,
+                      singular_left=ends[2], points=points, label=lambda k: label(owner[k]))
     return np.bincount(owner, vals, xs.size)
 
 
@@ -490,6 +482,10 @@ class _ScaleMixtureKernel(TransformedDensity):
         return total
 
     def _upsilon_double(self, rs: np.ndarray, f: Density, t: Density) -> np.ndarray:
+        step = max(1, BREAK_POINT_BUDGET // (len(f.kinks()) + len(t.kinks()) + 32))
+        if rs.size > step:
+            return np.concatenate([self._upsilon_double(rs[s:s + step], f, t)
+                                   for s in range(0, rs.size, step)])
         f_lo, f_hi = f.support
         t_lo, t_hi = t.support
         lo_u = np.maximum(t_lo, rs / f_hi)
@@ -505,27 +501,21 @@ class _ScaleMixtureKernel(TransformedDensity):
         # table radius. The source's kinks x_k > 0 are met at u = r/x_k, the
         # dilation's at their own radii
         tops = np.maximum(t.table_radius(), rs) if np.isinf(hi_u).any() else hi_u
-        knots = np.asarray(f.kinks(), float)
-        knots = knots[knots > 0.0]
-        t_kinks = np.asarray(t.kinks(), float)
+        marks = _decade_marks(lo_u, tops, np.minimum(tops * 1e-12, rs * 1e-3))
+        if np.count_nonzero(sing_hi):
+            # quad_batch maps the upper half by u = hi - w**2, where a mark
+            # stalls on the rounding of hi - u
+            marks[sing_hi[:, None] & ~(marks < 0.5 * (lo_u + tops)[:, None])] = np.nan
+        points, blowups = marks, None
+        knots, t_kinks = np.asarray(f.kinks(), float), np.asarray(t.kinks(), float)
+        if knots.size or t_kinks.size:
+            points = np.concatenate([rs[:, None] / knots[knots > 0.0],
+                                     np.zeros((rs.size, 1)) + t_kinks, marks], axis=1)
         # the source's blowups at rho meet it at u = r/rho, the dilation's at
         # its own radii
-        f_blow = np.asarray(f.interior_singular_radii(), float)
-        t_blow = list(t.interior_singular_radii())
-
-        def points(k: int) -> Sequence[float]:
-            lo, top = float(lo_u[k]), float(tops[k])
-            marks = _decade_marks(lo, top, min(top * 1e-12, float(rs[k]) * 1e-3))
-            if sing_hi[k]:
-                # quad_batch maps the upper half by u = hi - w**2, where a
-                # mark stalls on the rounding of hi - u
-                marks = [m for m in marks if m < 0.5 * (lo + top)]
-            if knots.size or t_kinks.size:
-                return np.concatenate([rs[k] / knots, t_kinks, marks])
-            return marks
-
-        def blowups(k: int) -> list[float]:
-            return t_blow + (rs[k] / f_blow).tolist() if f_blow.size else t_blow
+        f_blow, t_blow = np.asarray(f.interior_singular_radii(), float), t.interior_singular_radii()
+        if f_blow.size or t_blow:
+            blowups = np.concatenate([np.zeros((rs.size, 1)) + t_blow, rs[:, None] / f_blow], axis=1)
 
         def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
             return f.values(rs[k] / u) * t.values(u) / u
@@ -794,11 +784,14 @@ class TailTable:
     tails: tuple[float, ...]
 
     def tail(self, u: float) -> float:
+        """The tail at u: the first tabulated value at or below us[0],
+        linear interpolation up to and including us[-1], and 0 beyond the
+        grid, where nothing was recovered."""
         us = np.asarray(self.us)
         ts = np.asarray(self.tails)
         if u <= us[0]:
             return float(ts[0])
-        if u >= us[-1]:
+        if u > us[-1]:
             return 0.0
         return float(np.interp(u, us, ts))
 

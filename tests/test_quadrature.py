@@ -9,8 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levyarc.errors import QuadratureNonConvergence
-from levyarc.quadrature import (adaptive_quad, exp_tail_radius,
-                                geometric_grid, quad_batch)
+from levyarc.quadrature import (CHUNK_INTERVALS, _partition, adaptive_quad,
+                                exp_tail_radius, geometric_grid, quad_batch)
 
 
 def test_polynomial_exact():
@@ -134,7 +134,7 @@ def test_batch_ranges_flags_and_interior_blowups():
     # int_0^1 |x - c|^(-1/2) dx = 2 (sqrt(c) + sqrt(1 - c)), blowup at c
     c = np.array([0.2, 0.5, 0.9])
     got = quad_batch(lambda x, k: 1.0 / np.sqrt(np.abs(x - c[k])), c.size, 0.0, 1.0,
-                     abs_tol=1e-12, blowups=lambda k: [c[k]])
+                     abs_tol=1e-12, blowups=c[:, None])
     assert np.all(np.abs(got - 2.0 * (np.sqrt(c) + np.sqrt(1.0 - c))) < 1e-11)
     # int_a^b ((x - a)(b - x))^(-1/2) dx = pi on ranges of their own
     a = np.array([0.0, 1.0, -3.0])
@@ -147,13 +147,15 @@ def test_batch_ranges_flags_and_interior_blowups():
 def test_batch_break_points_resolve_kinks():
     knots = np.array([i / 64.0 for i in range(1, 64)])
     f = lambda x, k: np.min(np.abs(x[:, None] - knots[None, :]), axis=1)
-    got = quad_batch(f, 1, 0.0, 1.0, abs_tol=1e-10, points=lambda k: knots)
+    got = quad_batch(f, 1, 0.0, 1.0, abs_tol=1e-10, points=knots)
     assert abs(got[0] - (62.0 / 16384.0 + 2.0 * 0.5 / 4096.0)) < 1e-12
 
 
 def test_batch_empty_ranges_are_zero():
     got = quad_batch(lambda x, k: np.ones_like(x), 3, [0.0, 2.0, 3.0], [1.0, 2.0, 1.0])
     assert got.tolist() == [1.0, 0.0, 0.0]
+    got = quad_batch(lambda x, k: np.ones_like(x), 2, 3.0, 1.0, singular_left=True)
+    assert got.tolist() == [0.0, 0.0]
 
 
 def test_batch_result_independent_of_company():
@@ -166,6 +168,115 @@ def test_batch_result_independent_of_company():
         alone = quad_batch(lambda x, j: np.cos(c[k] * x) / np.sqrt(x), 1, 0.0, 3.0,
                            abs_tol=1e-12, singular_left=True)
         assert alone[0] == batch[k]
+    # every input form at once: per-integral break points padded with NaN,
+    # interior blowups (absent for some integrals), infinite upper limits,
+    # mixed singular flags and tolerances, in a batch of more than
+    # CHUNK_INTERVALS initial subintervals
+    f, n, a, b, kw = _mixed_batch()
+    assert n * kw["points"].shape[1] > CHUNK_INTERVALS
+    batch = quad_batch(f, n, a, b, **kw)
+    for k in range(n):
+        alone = quad_batch(lambda x, j: f(x, np.full_like(j, k)), 1, a[k], b[k],
+                           **{key: v[k] if key in ("abs_tol", "singular_left", "singular_right")
+                              else v[k:k + 1] for key, v in kw.items()})
+        assert alone[0] == batch[k], k
+    # the same integrals with every argument shared but f
+    shared = quad_batch(lambda x, k: np.cos((1.0 + k) * x) / np.sqrt(x), 600, 0.0, 3.0,
+                        abs_tol=1e-12, singular_left=True, points=np.array([1.0, 2.0]))
+    for k in (0, 7, 599):
+        alone = quad_batch(lambda x, j: np.cos((1.0 + k) * x) / np.sqrt(x), 1, 0.0, 3.0,
+                           abs_tol=1e-12, singular_left=True, points=np.array([1.0, 2.0]))
+        assert alone[0] == shared[k]
+
+
+def _reference_cells(a, b, sl, sr, points, blowups):
+    """The initial cells (kind, anchor, lo, hi) of one integral, built piece
+    by piece in plain Python: the loop the array-built partition replaced."""
+    cuts = []
+    for c in sorted(blowups):
+        if a < c < b and (not cuts or c - cuts[-1] > 1e-12 * c):
+            cuts.append(c)
+    edges = [a] + cuts + [b]
+    out = []
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        left, right = sl or i > 0, sr or i < len(edges) - 2
+        if math.isinf(hi):
+            cut = lo + max(1.0, abs(lo))
+            pieces = ([(1, lo, 0.0, math.sqrt(cut - lo)), (3, cut, cut, hi)] if left
+                      else [(3, lo, lo, hi)])
+        elif not (left or right):
+            pieces = [(0, lo, lo, hi)]
+        else:
+            mid = 0.5 * (lo + hi)
+            pieces = [(1, lo, 0.0, math.sqrt(mid - lo)) if left else (0, lo, lo, mid),
+                      (2, hi, 0.0, math.sqrt(hi - mid)) if right else (0, mid, mid, hi)]
+        for kind, anc, p_lo, p_hi in pieces:
+            pts = np.asarray(points, float)
+            t = (np.sqrt(pts[pts > anc] - anc) if kind == 1 else
+                 np.sqrt(anc - pts[pts < anc]) if kind == 2 else pts)
+            t = np.sort(t[(t > p_lo) & (t < p_hi)])
+            ends = np.concatenate(([p_lo], t, [p_hi]))
+            if kind == 3:
+                d = ends[:-1] - anc
+                ends = np.append(d / (1.0 + d), 1.0)
+            out += [(kind, anc, x, y) for x, y in zip(ends[:-1], ends[1:])]
+    return out
+
+
+def test_partition_matches_the_per_integral_loop():
+    # ranges of every kind, tiny and unbounded, with break points and
+    # blowups at the ends, at the midpoint and on top of each other
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 5))
+        a = rng.choice([0.0, -1.0, 0.5, 2.0], n) * rng.random(n)
+        b = a + rng.choice([1e-12, 0.3, 1.0, 5.0, math.inf], n)
+        sl = rng.random(n) < 0.5
+        sr = (rng.random(n) < 0.5) & np.isfinite(b)
+        points, blowups = np.full((n, 5), np.nan), np.full((n, 3), np.nan)
+        for k in range(n):
+            top = b[k] if math.isfinite(b[k]) else a[k] + 10.0
+            cand = np.concatenate([rng.uniform(a[k] - 0.5, top + 0.5, 4),
+                                   [a[k], b[k], 0.5 * (a[k] + b[k]), a[k] + max(1.0, abs(a[k]))]])
+            m, mb = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+            points[k, :m], blowups[k, :mb] = rng.choice(cand, m), rng.choice(cand, mb)
+        own, cells, _ = _partition(a, b, sl, sr, points, blowups)
+        for k in range(n):
+            want = _reference_cells(a[k], b[k], sl[k], sr[k], points[k][~np.isnan(points[k])],
+                                    blowups[k][~np.isnan(blowups[k])])
+            got = [tuple(c) for c in cells[[3, 2, 0, 1]][:, own == k].T.tolist()]
+            assert got == [tuple(map(float, c)) for c in want]
+
+
+def _mixed_batch():
+    """An integrand and the arguments of a batch of integrable integrals
+    that covers every form quad_batch accepts."""
+    rng = np.random.default_rng(5)
+    n = 40
+    a = rng.uniform(0.0, 1.0, n)
+    b = a + rng.uniform(0.5, 3.0, n)
+    b[::4] = math.inf
+    sl = rng.random(n) < 0.5
+    sr = (rng.random(n) < 0.5) & np.isfinite(b)
+    d = a + rng.uniform(0.1, 0.4, n)
+    blowups = d[:, None].copy()
+    blowups[1::5] = np.nan
+    points = np.full((n, 30), np.nan)
+    for k in range(n):
+        m = int(rng.integers(0, 31))
+        points[k, :m] = rng.uniform(a[k], min(b[k], a[k] + 3.0), m)
+    c = rng.uniform(0.5, 3.0, n)
+    blown = ~np.isnan(blowups[:, 0])
+
+    def f(x, k):
+        out = np.cos(c[k] * x) * np.exp(-x)
+        out = np.where(blown[k], out / np.sqrt(np.abs(x - d[k])), out)
+        out = np.where(sl[k], out / np.sqrt(x - a[k]), out)
+        return np.where(sr[k], out / np.sqrt(np.where(sr[k], b[k] - x, 1.0)), out)
+
+    kw = dict(abs_tol=np.where(rng.random(n) < 0.5, 1e-9, 1e-10), singular_left=sl,
+              singular_right=sr, points=points, blowups=blowups)
+    return f, n, a, b, kw
 
 
 def test_batch_nonconvergence_names_lowest_failing_integral():
