@@ -10,6 +10,7 @@ non-convergence). Any other exception is a bug and is not caught.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -257,6 +258,7 @@ def _cmd_fixtures(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="levyarc", description=__doc__)
     sub = p.add_subparsers(dest="verb", required=True)

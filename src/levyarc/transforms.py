@@ -27,20 +27,19 @@ The half-integral kernel and the inversion of a1 share one Abel evaluator,
 int f(s**(1/q)) (s - x)^(-1/2) ds, which reads a density f in s = r**q: the
 kernel reads its source with q = 1, the inversion its image with q = 2.
 
-Chain rewrite: scale mixtures compose by the multiplicative convolution of
-their dilations, Upsilon_sigma o Upsilon_tau = Upsilon_(sigma * tau), and with
-P_p the image under r -> r**p, a1 = Upsilon_arcsine o P_(1/2) and
-P_p o Upsilon_tau = Upsilon_(P_p tau) o P_p. So a depth-2 chain of an a1 and a
-scale mixture is one scale mixture of the source's power image:
+Chain rewrite: with P_p the image under r -> r**p, every op is
+Upsilon_sigma o P_p: a1 = (arcsine, 1/2), a2 = (arcsine, 1), and a scale
+mixture against tau is (tau, 1). Scale mixtures compose by the multiplicative
+convolution of their dilations, and P_p o Upsilon_tau = Upsilon_(P_p tau) o P_p,
+so a depth-2 chain is one scale mixture of the source's power image:
 
-* a1 o Upsilon_tau = Upsilon_(arcsine * P_(1/2) tau) o P_(1/2);
-* Upsilon_sigma o a1 = Upsilon_(sigma * arcsine) o P_(1/2).
+    Upsilon_sigma o P_p o Upsilon_tau o P_q = Upsilon_(sigma * P_p tau) o P_pq.
 
 arcsine1() and the scale mixtures (arcsine2, upsilon_tau and what calls them)
-take that single integral whenever the composed dilation is in this table of
-closed forms, the component is atom-free, the intermediate density is an
-untabulated kernel with atom-free dilations, and its source density is absent
-or exp_power (whose power image is exact):
+take that single integral, over the exact power image of any source, whenever
+the component and both dilations are atom-free, the intermediate density is an
+untabulated a1 or scale-mixture kernel, and this table of closed forms has
+sigma * P_p tau in either order (none has P_(1/2) arcsine, so pq is 1 or 1/2):
 
 * arcsine * c u e^(-b u^2) du = c (pi b)^(-1/2) e^(-b v^2) dv, the
   half-normal; P_(1/2) of e^(-u) du and the (-2, 2) power-exp dilation are
@@ -627,57 +626,51 @@ class _ChainKernel(_ScaleMixtureKernel):
         return self.name
 
 
-def _arcsine_composed(rho: DilationMeasure) -> Density | None:
-    """The density of arcsine * rho (the law of U V for independent U ~
-    arcsine and V ~ rho), where the table of closed forms has it."""
-    d = rho.density
-    if rho.atoms or d is None:
+def _compose(sigma: Density, tau: Density) -> Density | None:
+    """The density of sigma * tau (the law of U V for independent U ~ sigma
+    and V ~ tau) where the table of closed forms has it, in either order."""
+    if isinstance(tau, ArcsineDilationDensity):
+        sigma, tau = tau, sigma
+    if not isinstance(sigma, ArcsineDilationDensity):
         return None
-    if isinstance(d, ArcsineDilationDensity):
+    if isinstance(tau, ArcsineDilationDensity):
         return _EllipticDilationDensity()
-    if isinstance(d, ExpPowerDensity) and d.support == (0.0, math.inf):
-        if d.a == 1.0 and d.p == 2.0:
-            return ExpPowerDensity(d.c / math.sqrt(math.pi * d.b), 0.0, d.b, 2.0)
-        if d.a == 0.0 and d.p == 1.0:
-            return _BesselK0DilationDensity(d.c, d.b)
+    if isinstance(tau, ExpPowerDensity) and tau.support == (0.0, math.inf):
+        if tau.a == 1.0 and tau.p == 2.0:
+            return ExpPowerDensity(tau.c / math.sqrt(math.pi * tau.b), 0.0, tau.b, 2.0)
+        if tau.a == 0.0 and tau.p == 1.0:
+            return _BesselK0DilationDensity(tau.c, tau.b)
     return None
 
 
-def _chain_kernel(rc: RadialComponent, outer: str,
-                  sigma: DilationMeasure | None) -> _ChainKernel | None:
-    """The chain outer(rc) as one scale mixture, or None where it must nest.
-
-    outer is a1 when sigma is None and the scale mixture against sigma
-    otherwise. The rewrite needs an atom-free rc whose density is a kernel
-    of the other kind over a source with an exact power image (atoms, an
-    exp_power density or both), and a table entry for the composed dilation.
-    """
+def _chain_kernel(rc: RadialComponent, outer: str, sigma: DilationMeasure,
+                  p: float) -> _ChainKernel | None:
+    """The chain outer(rc), outer = Upsilon_sigma o P_p, as one scale mixture,
+    or None where it must nest. It needs an atom-free rc whose density is a
+    kernel Upsilon_tau o P_q (a1 reads as the arcsine dilation with q = 1/2,
+    a scale mixture as its own dilation with q = 1), atom-free sigma and tau,
+    and a table entry for sigma * P_p tau."""
     inner = rc.density
-    if rc.atoms or not isinstance(inner, (_HalfIntegralKernel, _ScaleMixtureKernel)):
-        return None
-    src = inner.source
-    if src.density is not None and not isinstance(src.density, ExpPowerDensity):
-        return None
-    if sigma is not None and isinstance(inner, _HalfIntegralKernel) and inner.power == 2.0:
-        # Upsilon_sigma o a1 = Upsilon_(sigma * arcsine) o P_(1/2)
-        tau = _arcsine_composed(sigma)
-    elif (sigma is None and isinstance(inner, _ScaleMixtureKernel)
-          and not inner.dilation.atoms and inner.dilation.density is not None):
-        # a1 o Upsilon_tau = Upsilon_(arcsine * P_(1/2) tau) o P_(1/2)
-        tau = _arcsine_composed(RadialComponent(
-            (), _power_map_density(inner.dilation.density, 0.5), 1.0))
+    if isinstance(inner, _HalfIntegralKernel) and inner.power == 2.0:
+        tau, q = arcsine_dilation(), 0.5
+    elif isinstance(inner, _ScaleMixtureKernel):
+        tau, q = inner.dilation, 1.0
     else:
         return None
-    if tau is None:
+    if rc.atoms or sigma.atoms or tau.atoms or sigma.density is None or tau.density is None:
         return None
-    half = RadialComponent(tuple((loc ** 0.5, m) for loc, m in src.atoms),
-                           None if src.density is None else _power_map_density(src.density, 0.5),
-                           rc.weight)
-    return _ChainKernel(half, f"{outer}({inner.provenance_name()})", RadialComponent((), tau, 1.0))
+    p_tau = tau.density if p == 1.0 else _power_map_density(tau.density, p)
+    composed = _compose(sigma.density, p_tau)
+    if composed is None:
+        return None
+    src, e = inner.source, p * q
+    dens = src.density if src.density is None or e == 1.0 else _power_map_density(src.density, e)
+    image = RadialComponent(tuple((loc ** e, m) for loc, m in src.atoms), dens, rc.weight)
+    return _ChainKernel(image, f"{outer}({inner.provenance_name()})", RadialComponent((), composed, 1.0))
 
 
 def _scale_mixture(rc: RadialComponent, name: str, tau: DilationMeasure) -> TransformedDensity:
-    return _chain_kernel(rc, name, tau) or _ScaleMixtureKernel(rc, name, tau)
+    return _chain_kernel(rc, name, tau, 1.0) or _ScaleMixtureKernel(rc, name, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +693,8 @@ def arcsine1(m: PolarMeasure) -> PolarMeasure:
     zero (levy_l1); the output is again a valid polar measure, atom-free."""
     _require(m, "levy_l1", "arcsine1")
     return m.map_components(lambda rc: _kernel_component(
-        _chain_kernel(rc, "a1", None) or _HalfIntegralKernel(rc, "a1", 2.0, TWO_OVER_PI)))
+        _chain_kernel(rc, "a1", arcsine_dilation(), 0.5)
+        or _HalfIntegralKernel(rc, "a1", 2.0, TWO_OVER_PI)))
 
 
 def arcsine2(m: PolarMeasure) -> PolarMeasure:

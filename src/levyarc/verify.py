@@ -4,9 +4,9 @@ Each named check recomputes one of the closed-form identities or contracts the
 package is built around and reports the measured error against its threshold.
 The checks are intentionally independent of the unit tests: they only go
 through public entry points, and each one states in its detail string what was
-measured. run_all() is what `levyarc verify all` executes. The commute check
-is the exception: arcsine1() rewrites the chain a1(ups0(rho)) to the same
-single scale mixture as its other route, so it builds that side from the
+measured. run_all() is what `levyarc verify all` executes. The commute and
+compose checks are the exceptions: the chain rewrite folds both of their
+routes to the same single scale mixture, so each builds one side from the
 nested kernels directly.
 """
 
@@ -27,8 +27,9 @@ from .measures import (ExpPowerDensity, PolarMeasure, half_line_measure,
 from .quadrature import adaptive_quad
 from .simulate import SimConfig, cf_distance, empirical_cf, sample_integral
 from .special import fixture_catalog, k0, k0_laplace, gauss_arcsine_residual
-from .transforms import (TWO_OVER_PI, _HalfIntegralKernel, arcsine1, arcsine2_direct,
-                         frac_half, invert_arcsine1, upsilon0, upsilon_alpha_beta)
+from .transforms import (TWO_OVER_PI, _HalfIntegralKernel, _ScaleMixtureKernel, arcsine1,
+                         arcsine2_direct, arcsine_dilation, frac_half, invert_arcsine1,
+                         upsilon0, upsilon_alpha_beta)
 
 
 @dataclass
@@ -303,7 +304,9 @@ def _check_compose():
     sig = abs(float(a.Sigma[0, 0]) - float(b.Sigma[0, 0]))
     gam = abs(float(a.gamma[0]) - float(b.gamma[0]))
     da = _only_density(a.nu)
-    db = _only_density(b.nu)
+    # the reversed order's jump part, nested as written
+    log_sqrt = upsilon_alpha_beta(t.nu, -2.0, 2.0).components[0][1]
+    db = _ScaleMixtureKernel(log_sqrt, "upsilon", arcsine_dilation())
     rs = np.geomspace(0.1, 5.0, 25)
     va, vb = da.values(rs), db.values(rs)
     dn = float(np.max(np.abs(va - vb)))

@@ -113,6 +113,20 @@ def test_depth2_chains_on_ex2_default_grid(workdir, chain, provenance):
         assert v == pytest.approx(want, rel=1e-9), r
 
 
+def test_chain_over_a1_of_a_written_table(workdir):
+    ex2 = la.fixture_catalog()["EX2"].measure
+    (workdir / "ex2.json").write_text(json.dumps(la.to_json(ex2)))
+    table = workdir / "table"
+    assert run("transform", "--in", workdir / "ex2.json", "--grid", "1e-4:100:193",
+               "--out", table) == 0
+    out = workdir / "chain"
+    assert run("transform", "--in", table / "transformed.json", "--chain", "a1,ups0",
+               "--out", out, "--grid", "0.1:5:9") == 0
+    ys = [float(row.split(",")[2]) for row in
+          (out / "transformed.csv").read_text().strip().splitlines()[1:]]
+    assert len(ys) == 9 and all(math.isfinite(y) and y > 0.0 for y in ys)
+
+
 def test_transform_unknown_op_is_usage_error(workdir, capsys):
     rc = run("transform", "--chain", "warp", "--in", workdir / "delta1.json",
              "--out", workdir / "e")
@@ -222,6 +236,22 @@ def test_fixtures_dump(workdir, capsys):
 
 def test_no_arguments_is_usage_error(capsys):
     assert run() == 2
+
+
+def test_consecutive_calls_in_one_process(workdir, capsys):
+    # the parser is built once and reused: a usage error leaves nothing
+    # behind for the next call
+    assert run("transform", "--chain", "warp", "--in", workdir / "delta1.json",
+               "--out", workdir / "e") == 2
+    first = capsys.readouterr()
+    assert json.loads(first.err.strip().splitlines()[-1])["error"] == "UsageError"
+    out = workdir / "ok"
+    assert run("transform", "--chain", "a1", "--in", workdir / "delta1.json",
+               "--out", out, "--grid", "0.1:0.9:3") == 0
+    second = capsys.readouterr()
+    assert second.err == "" and second.out.startswith("wrote ")
+    assert len((out / "transformed.csv").read_text().strip().splitlines()) == 4
+    assert run("verify", "nonsense") == 2
 
 
 def test_malformed_measure_file_is_usage_error(workdir, capsys):

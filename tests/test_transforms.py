@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ellipkm1
+from scipy.special import ellipkm1, k0
 
 import levyarc as la
 from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
 from levyarc.measures import Density, integrate, power_reparam, validate
-from levyarc.transforms import (TWO_OVER_PI, _ChainKernel, _HalfIntegralKernel,
-                                _ScaleMixtureKernel, _arcsine_composed)
+from levyarc.transforms import (TWO_OVER_PI, ArcsineDilationDensity, _ChainKernel,
+                                _HalfIntegralKernel, _ScaleMixtureKernel, _compose)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -668,9 +668,7 @@ def _exp_power_dilation(c, a, b, p):
     return la.RadialComponent(density=la.ExpPowerDensity(c, a, b, p))
 
 
-# each case: the public chain, the same chain nested as written, and the
-# dilation rho whose product with the arcsine dilation the rewrite reads from
-# its table
+# each case: the public chain, and the same chain nested as written
 CHAIN_CASES = {
     "rayleigh (2, 1): ups(-2,2) o a1": (
         lambda m: la.upsilon_alpha_beta(la.arcsine1(m), -2.0, 2.0),
@@ -697,6 +695,18 @@ CHAIN_CASES = {
     "elliptic: a2 o a1": (
         lambda m: la.arcsine2(la.arcsine1(m)),
         lambda rc: _ScaleMixtureKernel(_component(_a1_kernel(rc)), "a2", la.arcsine_dilation())),
+    "elliptic: a2 o a2": (
+        lambda m: la.arcsine2(la.arcsine2(m)),
+        lambda rc: _ScaleMixtureKernel(_component(_ScaleMixtureKernel(rc, "a2", la.arcsine_dilation())),
+                                       "a2", la.arcsine_dilation())),
+    "exp rate 1: a2 o ups0": (
+        lambda m: la.arcsine2(la.upsilon0(m)),
+        lambda rc: _ScaleMixtureKernel(_component(_ScaleMixtureKernel(rc, "upsilon", la.exp_dilation())),
+                                       "a2", la.arcsine_dilation())),
+    "exp rate 1: ups0 o a2": (
+        lambda m: la.upsilon0(la.arcsine2(m)),
+        lambda rc: _ScaleMixtureKernel(_component(_ScaleMixtureKernel(rc, "a2", la.arcsine_dilation())),
+                                       "upsilon", la.exp_dilation())),
 }
 
 
@@ -746,16 +756,17 @@ def _arcsine_squared_ref(v):
     la.ExpPowerDensity(0.4, 0.0, 3.0, 1.0),
 ], ids=["rayleigh (2, 1)", "rayleigh (0.7, 2.5)", "exp rate 1", "exp rate 3"])
 def test_table_entry_is_the_mellin_convolution(rho):
-    composed = _arcsine_composed(la.RadialComponent(density=rho))
+    composed = _compose(ArcsineDilationDensity(), rho)
     vs = np.geomspace(0.02, 3.0, 9)
     got = composed.values(vs)
+    assert np.array_equal(_compose(rho, ArcsineDilationDensity()).values(vs), got)
     for v, g in zip(vs, got):
         want = _mellin_with_arcsine(rho, float(v))
         assert g == pytest.approx(want, rel=1e-10), v
 
 
 def test_elliptic_table_entry_is_the_mellin_convolution():
-    composed = _arcsine_composed(la.arcsine_dilation())
+    composed = _compose(ArcsineDilationDensity(), ArcsineDilationDensity())
     vs = np.concatenate([np.geomspace(0.01, 0.9, 8), [0.99, 0.999]])
     got = composed.values(vs)
     for v, g in zip(vs, got):
@@ -822,12 +833,42 @@ def test_chains_without_an_entry_stay_nested(ex2_measure, case):
     assert np.array_equal(got.values(rs), want.values(rs))
 
 
-def test_chain_over_a_table_source_stays_nested():
-    # the power image of a piecewise-linear table is not piecewise linear, so
-    # the chain keeps its nested kernels
-    m = la.half_line_measure(density=la.tabulate_density(la.ex2_input_density(), per_decade=64))
-    for d in (_density(la.upsilon0(la.arcsine1(m))), _density(la.arcsine2(la.arcsine1(m)))):
-        assert type(d) is _ScaleMixtureKernel and isinstance(d.source.density, _HalfIntegralKernel)
+def _mixture_of_half_table(table, rho, r):
+    """int 2 T(x^2) rho(r/x) dx: the scale mixture at r of the table's image
+    under s -> s^(1/2), whose density is 2 x T(x^2), against the dilation
+    density rho; by scipy's quad on the pieces between the mapped knots
+    sqrt(x_k) and x = r, on each of which the integrand is smooth."""
+    from scipy import integrate as sp_integrate
+    xs, ys = np.asarray(table.xs), np.asarray(table.ys)
+    edges = np.unique(np.concatenate([np.sqrt(xs), [r]]))
+    edges = edges[(edges >= math.sqrt(xs[0])) & (edges <= math.sqrt(xs[-1]))]
+    f = lambda x: 2.0 * np.interp(x * x, xs, ys) * rho(r / x)
+    return sum(sp_integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+# the scale mixtures over a1 of a table and their composed dilations,
+# sigma * arcsine
+TABLE_CHAIN_CASES = {
+    "ups0": (la.upsilon0, lambda v: TWO_OVER_PI * k0(v)),
+    "a2": (la.arcsine2, lambda v: TWO_OVER_PI ** 2 * ellipkm1(v * v) if v <= 1.0 else 0.0),
+    "ups(-2,2)": (lambda m: la.upsilon_alpha_beta(m, -2.0, 2.0),
+                  lambda v: 2.0 / SQRT_PI * math.exp(-v * v)),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLE_CHAIN_CASES))
+def test_chain_over_a1_of_a_table(case):
+    # every scale mixture over a1 of a table raised QuadratureNonConvergence
+    # while it nested; the chain reads the table's exact power image
+    op, rho = TABLE_CHAIN_CASES[case]
+    table = la.tabulate_density(la.ex2_input_density(), per_decade=64)
+    d = _density(op(la.arcsine1(la.half_line_measure(density=table))))
+    assert isinstance(d, _ChainKernel)
+    rs = [0.3, 1.1, 2.6]
+    for r, v in zip(rs, d.values(np.array(rs))):
+        want = _mixture_of_half_table(table, rho, r)
+        assert abs(v - want) <= 1e-12 * want, (r, v, want)
 
 
 def test_a2_of_a1_image_near_its_supremum(delta1):
