@@ -130,6 +130,20 @@ class Density:
         return table.as_json()
 
 
+def _on_support(r: np.ndarray, inside: np.ndarray,
+                formula: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """formula at the entries of r where inside holds, 0 elsewhere. formula
+    works elementwise on a 1-D array it must not write into. When every
+    entry is inside, r is read in place, with no gather or scatter."""
+    n = np.count_nonzero(inside)
+    if n == r.size and n:
+        return formula(r.ravel()).reshape(r.shape)
+    out = np.zeros(r.shape)
+    if n:
+        out[inside] = formula(r[inside])
+    return out
+
+
 @dataclass(frozen=True)
 class ExpPowerDensity(Density):
     """c * r**a * exp(-b * r**p) on its support (default all of (0, oo))."""
@@ -158,16 +172,23 @@ class ExpPowerDensity(Density):
     def values(self, rs) -> np.ndarray:
         r = np.asarray(rs, float)
         lo, hi = self.support
-        inside = (r > lo) & (r <= hi) & (r > 0.0) & np.isfinite(r)
-        out = np.zeros(r.shape)
+        return _on_support(r, (r > lo) & (r <= hi) & (r > 0.0) & np.isfinite(r), self._inside)
+
+    def _inside(self, r: np.ndarray) -> np.ndarray:
         # log-space keeps huge probe arguments (from scale-mixture integrands)
         # from overflowing r**a or r**p
-        lr = np.log(r[inside])
-        logv = math.log(self.c) + self.a * lr
+        lr = np.log(r)
+        logv = self.a * lr
+        logv += math.log(self.c)
         if self.b > 0.0:
-            logv -= self.b * np.exp(np.minimum(self.p * lr, 700.0))
-        out[inside] = np.where(logv > 709.0, math.inf, np.exp(np.minimum(logv, 709.0)))
-        return out
+            lr *= self.p
+            np.exp(np.minimum(lr, 700.0, out=lr), out=lr)
+            lr *= self.b
+            logv -= lr
+        over = logv > 709.0
+        np.exp(np.minimum(logv, 709.0, out=logv), out=logv)
+        logv[over] = math.inf
+        return logv
 
     def exponent_at_zero(self) -> float:
         return self.a
@@ -245,7 +266,7 @@ class TableDensity(Density):
     def values(self, rs) -> np.ndarray:
         ax, ay = self._arrays
         r = np.asarray(rs, float)
-        return np.where((r < ax[0]) | (r > ax[-1]), 0.0, np.interp(r, ax, ay))
+        return np.where((r >= ax[0]) & (r <= ax[-1]), np.interp(r, ax, ay), 0.0)
 
     def mass(self, lo: float = 0.0, hi: float = math.inf) -> float:
         """Exact integral of the piecewise-linear function over [lo, hi]."""
@@ -294,15 +315,13 @@ class PowerImageDensity(Density):
 
     def values(self, ss) -> np.ndarray:
         s = np.asarray(ss, float)
-        out = np.zeros(s.shape)
-        pos = (s > 0.0) & np.isfinite(s)
-        sp = s[pos]
+        return _on_support(s, (s > 0.0) & np.isfinite(s), self._inside)
+
+    def _inside(self, s: np.ndarray) -> np.ndarray:
         if self.exponent == 2.0:
-            r = np.sqrt(sp)
-            out[pos] = self.base.values(r) / (2.0 * r)
-        else:
-            out[pos] = self.base.values(sp * sp) * 2.0 * sp
-        return out
+            r = np.sqrt(s)
+            return self.base.values(r) / (2.0 * r)
+        return self.base.values(s * s) * 2.0 * s
 
     def exponent_at_zero(self) -> float:
         a = self.base.exponent_at_zero()

@@ -12,7 +12,9 @@ _pieces():
   k is the index of the integral each node belongs to. The initial
   subintervals of a whole group of integrals are built with array
   operations, and a pass issues a fixed number of numpy calls however many
-  integrals it refines.
+  integrals it refines. The rule's sums over each subinterval's 21 nodes
+  are einsum contractions, which fix the order of every sum, so no
+  subinterval's sums depend on the batch it is evaluated in.
 
 * adaptive_quad() integrates one callable that takes floats, through scipy's
   QUADPACK. It serves the public API and the special-function oracles, which
@@ -305,17 +307,20 @@ def _gk21(f, key: np.ndarray, cells: np.ndarray, kinds: list[int]) -> tuple[np.n
         return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
     lo, hi = cells[_LO], cells[_HI]
     half = 0.5 * (hi - lo)  # >= 0, so it is its own absolute value
-    t = (0.5 * (lo + hi))[:, None] + half[:, None] * _X21
+    t = half[:, None] * _X21
+    t += (0.5 * (lo + hi))[:, None]
     x, jac = (t, None) if kinds == [_PLAIN] else _map(t, cells[_KIND], cells[_ANCHOR], kinds)
     fv = np.asarray(f(x.ravel(), key.repeat(21)), float).reshape(t.shape)
-    if jac is not None:
-        fv = fv * jac
-    # two rows of 21 nodes per reduction: both rules, then |f|, |f - mean|
-    fw = fv[:, None, :] * _W21
-    resk, resg = np.add.reduce(fw, 2).T
-    dev = np.abs(fw)
-    np.multiply(np.abs(fv - 0.5 * resk[:, None]), _WK21, out=dev[:, 1])
-    resabs, resasc = (np.add.reduce(dev, 2) * half[:, None]).T
+    if jac is not None:  # a fresh array of _map's
+        fv = np.multiply(jac, fv, out=jac)
+    # both rules, then the Kronrod sums of |f| and |f - mean|, as einsum
+    # contractions over each row's 21 nodes: einsum without optimize calls
+    # no BLAS, so a row is summed in the same order in a batch of any size
+    resk, resg = np.einsum("ij,kj->ki", fv, _W21)
+    dev = np.abs(fv)
+    resabs = np.einsum("ij,j->i", dev, _WK21) * half
+    np.abs(np.subtract(fv, 0.5 * resk[:, None], out=dev), out=dev)
+    resasc = np.einsum("ij,j->i", dev, _WK21) * half
     e = np.abs((resk - resg) * half)
     scaled = (resasc != 0.0) & (e != 0.0)
     ratio = 200.0 * e / np.where(scaled, resasc, 1.0)

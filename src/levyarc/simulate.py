@@ -23,7 +23,8 @@ Each jump component (direction xi) with mass above eps has Poisson(rate * T)
 jumps at uniform times tau = T (1 - U) in (0, T], where f is finite even for
 the logarithmic integrands, with radii J by inverse CDF over its atoms, then
 its tabulated density; C_eps is the small-jump covariance. The time-1 law is
-the case f = 1 on [0, 1].
+the case f = 1 on [0, 1]. These ingredients are built once per triplet and
+eps, and reused by later calls while the triplet lives.
 
 Reproducibility contract: paths are drawn vectorised in blocks of
 BLOCK_PATHS. Each (block, variate kind) has its own counter-based Philox
@@ -46,6 +47,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -245,9 +247,6 @@ def _build_machine(t: Triplet, cfg: SimConfig) -> _Machine:
     mass = atom_mass + dens_mass
     rates = weight * mass
     live = np.flatnonzero(mass > 0.0)
-    if not live.size and not t.nu.is_zero():
-        warnings.warn("jump cut eps leaves zero jump rate for a nonzero measure",
-                      ConfigError)
 
     cov = ((weight * m2)[:, None, None] * (xi[:, :, None] * xi[:, None, :])).sum(axis=0)
     shift = ((weight * defect)[:, None] * xi).sum(axis=0)
@@ -302,8 +301,20 @@ _IDENTITY = IntegrandSpec("id", 1.0, np.ones_like, 1.0, 1.0,
                           lambda: RadialComponent(((1.0, 1.0),)))
 
 
+# the last machine built for each live triplet (hashed by identity), with its
+# key: eps, the compensation flag and the bytes of Sigma and gamma, so that
+# changing those arrays in place builds a fresh machine
+_MACHINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _sample(t: Triplet, spec: IntegrandSpec, cfg: SimConfig) -> SampleSet:
-    mach = _build_machine(t, cfg)
+    key = (cfg.eps, cfg.compensate_small_jumps, t.Sigma.tobytes(), t.gamma.tobytes())
+    hit = _MACHINES.get(t)
+    if hit is None or hit[0] != key:
+        hit = _MACHINES[t] = key, _build_machine(t, cfg)
+    mach = hit[1]
+    if not mach.rates.size and not t.nu.is_zero():
+        warnings.warn("jump cut eps leaves zero jump rate for a nonzero measure", ConfigError)
     scale = math.sqrt(spec.sq_integral)
     gauss = None if mach.gauss_root is None else scale * mach.gauss_root
     comp = None if mach.comp_root is None else scale * mach.comp_root

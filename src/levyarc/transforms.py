@@ -66,7 +66,7 @@ from scipy.special import ellipkm1, k0
 
 from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
-                       PolarMeasure, RadialComponent, _power_map_density,
+                       PolarMeasure, RadialComponent, _on_support, _power_map_density,
                        integrate, power_reparam, tabulate_density, validate)
 from .quadrature import _decade_marks, _split, quad_batch
 
@@ -96,11 +96,12 @@ class ArcsineDilationDensity(Density):
 
     def values(self, us) -> np.ndarray:
         u = np.asarray(us, float)
-        out = np.zeros(u.shape)
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside]
-        out[inside] = TWO_OVER_PI / np.sqrt((1.0 - ui) * (1.0 + ui))
-        return out
+        return _on_support(u, (u > 0.0) & (u < 1.0), self._inside)
+
+    @staticmethod
+    def _inside(u: np.ndarray) -> np.ndarray:
+        w = (1.0 - u) * (1.0 + u)
+        return np.divide(TWO_OVER_PI, np.sqrt(w, out=w), out=w)
 
     def singular_at_high(self) -> bool:
         return True
@@ -142,10 +143,8 @@ class _BesselK0DilationDensity(Density):
 
     def values(self, vs) -> np.ndarray:
         v = np.asarray(vs, float)
-        out = np.zeros(v.shape)
-        inside = (v > 0.0) & np.isfinite(v)
-        out[inside] = (TWO_OVER_PI * self.c) * k0(self.b * v[inside])
-        return out
+        return _on_support(v, (v > 0.0) & np.isfinite(v),
+                           lambda w: (TWO_OVER_PI * self.c) * k0(self.b * w))
 
     def singular_at_low(self) -> bool:
         return True
@@ -174,16 +173,16 @@ class _EllipticDilationDensity(Density):
 
     def values(self, vs) -> np.ndarray:
         v = np.asarray(vs, float)
-        out = np.zeros(v.shape)
-        inside = (v > 0.0) & (v <= 1.0)
-        vi = v[inside]
+        return _on_support(v, (v > 0.0) & (v <= 1.0), self._inside)
+
+    @staticmethod
+    def _inside(v: np.ndarray) -> np.ndarray:
         # below 1e-8, K(1 - v^2) = log(4/v) to double precision, and v^2 may
         # underflow to the pole of ellipkm1
-        small = vi < 1e-8
-        kv = ellipkm1(np.where(small, 0.5, vi * vi))
-        kv[small] = np.log(4.0 / vi[small])
-        out[inside] = (TWO_OVER_PI * TWO_OVER_PI) * kv
-        return out
+        small = v < 1e-8
+        kv = ellipkm1(np.where(small, 0.5, v * v))
+        kv[small] = np.log(4.0 / v[small])
+        return (TWO_OVER_PI * TWO_OVER_PI) * kv
 
     def singular_at_low(self) -> bool:
         return True
@@ -278,8 +277,14 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
         # at a == x the quotient is 2 span^(1/2) cos(t) g(s)
         st = np.sin(t)
         sp = span[k]
-        rise = sp * st * st
-        return 2.0 * sp * st * np.cos(t) * g(a[k] + rise) / np.sqrt(lead[k] + rise)
+        rise = sp * st
+        rise *= st
+        out = 2.0 * sp
+        out *= st
+        out *= np.cos(t)
+        out *= g(a[k] + rise)
+        rise += lead[k]
+        return np.divide(out, np.sqrt(rise, out=rise), out=out)
 
     def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         fin = finite[k]
@@ -328,11 +333,7 @@ class TransformedDensity(Density):
         A radius's value does not depend on the rest of the batch."""
         r = np.asarray(rs, float)
         lo, hi = self.support
-        inside = np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0)
-        out = np.zeros(r.shape)
-        if inside.any():
-            out[inside] = self._evaluate(r[inside])
-        return out
+        return _on_support(r, np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0), self._evaluate)
 
     def exponent_at_zero(self) -> float:
         cache = self._cache
@@ -517,7 +518,9 @@ class _ScaleMixtureKernel(TransformedDensity):
             blowups = np.concatenate([np.zeros((rs.size, 1)) + t_blow, rs[:, None] / f_blow], axis=1)
 
         def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return f.values(rs[k] / u) * t.values(u) / u
+            out = f.values(rs[k] / u) * t.values(u)
+            out /= u
+            return out
 
         return quad_batch(integrand, rs.size, lo_u, hi_u, abs_tol=INNER_ABS_TOL,
                           singular_left=sing_lo, singular_right=sing_hi, points=points,

@@ -292,11 +292,16 @@ class _Ramp(Density):
         return r if 0.0 < r < 2.0 else 0.0
 
 
-def test_density_values_match_value(ex2_measure, delta1):
+def test_density_values_match_value(ex1_measure, ex2_measure, delta1):
     # every built-in density and both kernels define values() alone and
     # inherit value(), which reads values() at one point; a user density
-    # with value() alone gets values() by the default loop
+    # with value() alone gets values() by the default loop. values() reads
+    # an array whose every radius is inside the support in place and gathers
+    # the inside ones otherwise: both give value() bit for bit, for radii
+    # mixed with 0, negatives, the support ends, inf and nan (which read 0),
+    # on empty and 0-d input, and neither writes into the caller's array
     from levyarc.transforms import (ArcsineDilationDensity, TransformedDensity,
+                                    _BesselK0DilationDensity, _EllipticDilationDensity,
                                     _HalfIntegralKernel, _ScaleMixtureKernel)
     for cls in (la.ExpPowerDensity, la.TableDensity, PowerImageDensity,
                 ArcsineDilationDensity, TransformedDensity, _HalfIntegralKernel,
@@ -306,17 +311,29 @@ def test_density_values_match_value(ex2_measure, delta1):
     ups = la.upsilon0(ex2_measure).components[0][1].density
     assert isinstance(a1, _HalfIntegralKernel) and isinstance(ups, _ScaleMixtureKernel)
     assert not hasattr(ups, "_memo")
-    rs = np.array([[-1.0, 0.0, 1e-9, 0.3], [1.0, 2.0, 7.5, 1e100]])
     table = la.tabulate_density(la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0), per_decade=16)
     for d in (la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0), la.ExpPowerDensity(2.0, 1.0, 0.5, 2.0),
               la.ExpPowerDensity(1.0, 0.0, 0.0, 1.0, (0.5, 1.5)), table, _Ramp(),
               la.arcsine_dilation().density, PowerImageDensity(table, 2.0),
-              PowerImageDensity(table, 0.5), a1, ups):
+              PowerImageDensity(table, 0.5), _BesselK0DilationDensity(0.7, 1.3),
+              _EllipticDilationDensity(), a1, ups, la.arcsine1(ex1_measure).components[0][1].density,
+              la.arcsine2(delta1).components[0][1].density,
+              la.frac_half(ex2_measure.components[0][1]).density):
+        lo, hi = d.support
+        inside = lo + (min(hi, lo + 8.0) - lo) * np.array([1e-3, 0.1, 0.45, 0.9])
+        rs = np.array([[-1.0, 0.0, 1e-9, 0.3, lo, hi, math.inf, math.nan],
+                       [*inside, 1.0, 2.0, 7.5, 1e100]])
+        kept = rs.copy()
         got = d.values(rs)
         assert got.shape == rs.shape and got.dtype == np.float64
         want = np.array([[d.value(float(r)) for r in row] for row in rs])
         assert type(d.value(0.3)) is float
-        assert np.array_equal(got, want), d
+        assert got.tobytes() == want.tobytes() and not np.isnan(got).any(), d
+        assert d.values(inside).tobytes() == want[1, :4].tobytes(), d
+        assert rs.tobytes() == kept.tobytes(), d
+        assert d.values(np.empty(0)).shape == (0,) and d.values(np.empty((2, 0))).shape == (2, 0)
+        scalar = d.values(np.float64(inside[1]))
+        assert scalar.shape == () and float(scalar) == want[1, 1], d
 
 
 def test_density_defining_neither_value_nor_values_raises():

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from levyarc.errors import QuadratureNonConvergence
+from levyarc import quadrature
 from levyarc.quadrature import (CHUNK_INTERVALS, _partition, adaptive_quad,
                                 exp_tail_radius, geometric_grid, quad_batch)
 
@@ -187,6 +188,38 @@ def test_batch_result_independent_of_company():
         alone = quad_batch(lambda x, j: np.cos((1.0 + k) * x) / np.sqrt(x), 1, 0.0, 3.0,
                            abs_tol=1e-12, singular_left=True, points=np.array([1.0, 2.0]))
         assert alone[0] == shared[k]
+
+
+def test_qk21_sums_do_not_depend_on_the_batch():
+    # more than CHUNK_INTERVALS initial cells of every piece kind: each
+    # cell's value and error come out bit for bit as they do alone (whole
+    # integrals: test_batch_result_independent_of_company), and the
+    # einsum contraction is the plain sum over the 21 weighted nodes to
+    # within 4 units of roundoff of the sum of their absolute values
+    rng = np.random.default_rng(7)
+    n = 120
+    a = rng.uniform(0.0, 1.0, n)
+    b = a + rng.uniform(0.5, 2.0, n)
+    b[::4] = math.inf
+    sl = rng.random(n) < 0.5
+    sr = (rng.random(n) < 0.5) & np.isfinite(b)
+    points = a[:, None] + rng.uniform(0.0, 0.5, (n, 3))
+    own, cells, kinds = _partition(a, b, sl, sr, points, np.empty(0))
+    assert own.size > CHUNK_INTERVALS and kinds == [0, 1, 2, 3]
+    c = rng.uniform(0.5, 2.0, n)
+    f = lambda x, k: np.exp(-c[k] * x) * (1.0 + np.sin(x))
+    val, err = quadrature._gk21(f, own, cells, kinds)
+    for i in range(0, own.size, 7):
+        alone = quadrature._gk21(f, own[i:i + 1], cells[:, i:i + 1], [int(cells[3, i])])
+        assert (alone[0][0], alone[1][0]) == (val[i], err[i]), i
+    lo, hi = cells[0], cells[1]
+    half = 0.5 * (hi - lo)
+    x, jac = quadrature._map(0.5 * (lo + hi)[:, None] + half[:, None] * quadrature._X21,
+                             cells[3], cells[2], kinds)
+    fv = f(x.ravel(), own.repeat(21)).reshape(x.shape) * jac
+    plain = np.add.reduce(fv * quadrature._WK21, 1) * half
+    size = np.add.reduce(np.abs(fv) * quadrature._WK21, 1) * half
+    assert np.all(np.abs(val - plain) <= 4.0 * np.finfo(float).eps * size)
 
 
 def _reference_cells(a, b, sl, sr, points, blowups):

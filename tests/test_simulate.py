@@ -59,6 +59,35 @@ def test_cutoff_swallowing_all_jumps_warns():
         la.sample_id(t, cfg)
 
 
+def test_sampler_builds_one_machine_per_triplet_and_eps(monkeypatch):
+    # a second call on the same triplet and eps, with any integrand, builds
+    # no machine; a new eps, a new compensation flag, an in-place change of
+    # gamma or an equal but distinct triplet builds one. Draws stay those of
+    # a freshly built machine
+    from levyarc import simulate
+
+    built = []
+    orig = simulate._build_machine
+    monkeypatch.setattr(simulate, "_build_machine",
+                        lambda t, cfg: built.append(cfg.eps) or orig(t, cfg))
+    t = gauss_plus_density()
+    first = la.sample_integral(t, "cos_pi_half", small(paths=300))
+    again = la.sample_integral(t, "cos_pi_half", small(paths=300))
+    la.sample_id(t, small(paths=300))
+    assert len(built) == 1 and again.draws.tobytes() == first.draws.tobytes()
+    la.sample_id(t, la.SimConfig(paths=300, eps=2e-3, seed=3))
+    assert built == [1e-3, 2e-3]
+    la.sample_id(t, small(paths=300, compensate_small_jumps=False))
+    assert len(built) == 3
+    before = la.sample_id(t, small(paths=300)).draws
+    count = len(built)
+    t.gamma[0] += 1.0
+    after = la.sample_id(t, small(paths=300)).draws
+    assert len(built) == count + 1 and np.allclose(after, before + 1.0, rtol=0.0, atol=1e-12)
+    fresh = la.sample_integral(gauss_plus_density(), "cos_pi_half", small(paths=300))
+    assert len(built) == count + 2 and fresh.draws.tobytes() == first.draws.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # exactness on degenerate inputs
 # ---------------------------------------------------------------------------

@@ -265,42 +265,6 @@ class _SquareWave(Density):
         return 1.0 if 0.0 < r < 2.0 and int(r / 5e-7) % 2 == 0 else 0.0
 
 
-@pytest.mark.parametrize("build, kind", [
-    (lambda m: la.arcsine1(m), _HalfIntegralKernel),
-    (lambda m: la.arcsine2(m), _ScaleMixtureKernel),
-    (lambda m: la.arcsine1(la.upsilon0(la.fixture_catalog()["EX2"].measure)), _ChainKernel),
-])
-def test_value_is_values_bit_for_bit_at_every_radius(build, kind):
-    # an atom in the source, and a density with interior blowups (the a1
-    # image of two atoms), give the kernels per-radius blowups and break
-    # points; every radius of a batch reads as it does alone, in fresh
-    # kernels, so no memo is shared
-    src = la.half_line_measure(atoms=[(0.8, 0.3)], density=_density(
-        la.arcsine1(la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)]))))
-    rs = np.geomspace(0.05, 4.0, 17)
-    batch_density = _density(build(src))
-    assert type(batch_density) is kind
-    batch = batch_density.values(rs)
-    for r, v in zip(rs.tolist(), batch.tolist()):
-        assert _density(build(src)).value(r) == v, r
-
-
-def test_tail_table_reads_its_last_grid_point_and_zero_beyond():
-    table = la.invert_arcsine1(la.arcsine1(la.fixture_catalog()["EX1"].measure),
-                               (0.1, 2.0, 5)).components[0][2]
-    us, tails = table.us, table.tails
-    assert tails[-1] > 0.3
-    assert table.tail(0.5 * us[0]) == tails[0]
-    assert table.tail(us[0]) == tails[0]
-    assert table.tail(us[2]) == tails[2]
-    mid = 0.5 * (us[1] + us[2])
-    assert tails[2] <= table.tail(mid) <= tails[1]
-    assert table.tail(us[-1]) == tails[-1]
-    assert table.tail(us[-1] * (1.0 - 1e-12)) == pytest.approx(tails[-1], rel=1e-9)
-    assert table.tail(us[-1] * (1.0 + 1e-12)) == 0.0
-    assert table.tail(10.0 * us[-1]) == 0.0
-
-
 @pytest.mark.parametrize("kernel, where", [
     ("arcsine1", "a1 kernel at r=0.5"),
     ("frac_half", "frac_half kernel at r=0.5"),
