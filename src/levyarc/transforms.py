@@ -26,6 +26,8 @@ same computation twice.
 The half-integral kernel and the inversion of a1 share one Abel evaluator,
 int f(s**(1/q)) (s - x)^(-1/2) ds, which reads a density f in s = r**q: the
 kernel reads its source with q = 1, the inversion its image with q = 2.
+Its decade marks on a piece (a, b) start at 1e-3 of the gap from a down to the
+nearest point where the integrand may not be smooth, capped at 1e-5 (b - a).
 
 Chain rewrite: with P_p the image under r -> r**p, every op is
 Upsilon_sigma o P_p: a1 = (arcsine, 1/2), a2 = (arcsine, 1), and a scale
@@ -79,9 +81,6 @@ BREAK_POINT_BUDGET = 1 << 19  # radii x break points per radius made into arrays
 MAX_KERNEL_DEPTH = 2
 TWO_OVER_PI = 2.0 / math.pi
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-# the Abel evaluator's break points at every decade of the distance from a
-# piece's start, which its sine map sends to the same angles on every piece
-_SINE_MARKS = np.arcsin(np.sqrt(_decade_marks(0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,9 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     piece (a, b) the sine map s = a + (b - a) sin^2(theta) absorbs inverse
     square root blowups at both edges, including the s = x anchor when
     a == x, so the integrand never divides by a difference that can
-    underflow. The kinks of f, mapped to s, are break points. label(i)
-    names the integral at xs[i]."""
+    underflow. The kinks of f, mapped to s, are break points, and so is
+    every decade of (s - a)/(b - a) from the piece's own scale up (see the
+    comment at the marks). label(i) names the integral at xs[i]."""
     step = max(1, BREAK_POINT_BUDGET // (len(f.interior_singular_radii()) + 1) // (len(f.kinks()) + 11))
     if xs.size > step:
         return np.concatenate([_abel_integrals(f, q, xs[s:s + step], abs_tol,
@@ -243,6 +243,8 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     knots = np.asarray(f.kinks(), float) ** q
     starts = np.maximum(xs, lo)
     rows = np.flatnonzero(his > starts)
+    if not rows.size:
+        return np.zeros(xs.shape)
     starts, his = starts[rows], his[rows]
     # cut at the blowups but those within 1e-12 of a finite end, of the cut
     # before, or of the start (x sits at the blowup to machine resolution:
@@ -258,17 +260,25 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     owner, tols = rows[piece], abs_tol / np.bincount(piece)[piece]
     x = xs[owner]
     finite = np.isfinite(b)
-    span = np.where(finite, b - a, 0.0)
+    span = np.where(finite, b - a, 1.0)
     lead = a - x
-    # a finite piece runs on (0, pi/2) with the decade marks and the kinks
-    # inside sine-mapped as break points, an unbounded one on (a, oo)
-    ends, points = (0.0, 0.5 * math.pi, False), _SINE_MARKS
-    if knots.size or not finite.all():
+    # a finite piece runs on (0, pi/2), an unbounded one on (a, oo). A finite
+    # piece's break points, sine-mapped, are the kinks inside it and the marks
+    # rel0 * 10**k below 1 of (s - a)/span. The integrand is smooth on the
+    # scale of d0, the distance from a down to x (when a > x), lo, or a blowup
+    # or kink, so rel0 = 1e-3 d0/span; the clip to [1e-12, 1e-5] gives a piece
+    # that starts on such a point (d0 = 0) the marks 1e-11 ... 1e-1, and
+    # every piece at least four.
+    gaps = a[:, None] - np.concatenate([blowups, knots, [lo]])
+    d0 = np.fmin(np.where(lead > 0.0, lead, np.inf), np.where(gaps >= 0.0, gaps, np.inf).min(axis=1))
+    marks = _decade_marks(0.0, np.ones(a.size), np.clip(1e-3 * d0 / span, 1e-12, 1e-5))
+    points = np.where(finite[:, None], np.arcsin(np.sqrt(marks)), np.nan)
+    ends = (0.0, 0.5 * math.pi, False)
+    if not finite.all():
         ends = (np.where(finite, 0.0, a), np.where(finite, 0.5 * math.pi, b), ~finite)
-        points = np.where(finite[:, None], _SINE_MARKS, np.nan)
     if knots.size:
         inside = (knots > a[:, None]) & (knots < b[:, None])
-        rel = np.where(inside, (knots - a[:, None]) / np.where(finite, span, 1.0)[:, None], np.nan)
+        rel = np.where(inside, (knots - a[:, None]) / span[:, None], np.nan)
         mapped = np.where(finite[:, None], np.arcsin(np.sqrt(rel)), knots)
         points = np.concatenate([points, np.where(inside, mapped, np.nan)], axis=1)
 
@@ -833,8 +843,8 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         if dens.depth >= MAX_KERNEL_DEPTH:
             dens = tabulate_density(dens)
         us = _inversion_grid(dens, grid)
-        tails = (0.5 * _abel_integrals(dens, 2.0, np.array(us), abs_tol,
-                                       lambda i: f"inversion tail at u={us[i]!r}")).tolist()
+        tails = (0.5 * _abel_integrals(dens, 2.0, np.array(us), abs_tol, lambda i: (
+            f"inversion tail at u={us[i]!r} of {dens.provenance_name()}"))).tolist()
         t0 = max(tails[0], 0.0)
         floor = -MONOTONE_SLACK * max(t0, 1e-300)
         for j in range(len(tails)):

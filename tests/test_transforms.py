@@ -11,9 +11,10 @@ from scipy.special import ellipkm1, k0
 
 import levyarc as la
 from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
-from levyarc.measures import Density, integrate, power_reparam, validate
-from levyarc.transforms import (TWO_OVER_PI, ArcsineDilationDensity, _ChainKernel,
-                                _HalfIntegralKernel, _ScaleMixtureKernel, _compose)
+from levyarc.measures import DEFAULT_ABS_TOL, Density, integrate, power_reparam, validate
+from levyarc.transforms import (TWO_OVER_PI, ArcsineDilationDensity, _abel_integrals,
+                                _ChainKernel, _HalfIntegralKernel, _ScaleMixtureKernel,
+                                _compose)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -270,6 +271,7 @@ class _SquareWave(Density):
     ("frac_half", "frac_half kernel at r=0.5"),
     ("upsilon0", "upsilon kernel at r=0.5"),
     ("invert", "inversion tail at u=0.25"),
+    ("invert", "inversion tail at u=0.25 of _SquareWave"),
 ])
 def test_nonconvergence_names_kernel_and_point(kernel, where):
     with pytest.raises(QuadratureNonConvergence, match=where):
@@ -868,3 +870,81 @@ def test_chain_kernels_keep_their_provenance(delta1, ex2_measure, monkeypatch):
         d.values(np.array([0.5]))
         # the atom-only source is read in closed form, without a quadrature
         assert labels == ([] if "atoms" in name else [f"{name} kernel at r=0.5"])
+
+
+# ---------------------------------------------------------------------------
+# the Abel evaluator's break points
+# ---------------------------------------------------------------------------
+
+def _unit_exponential():
+    return la.RadialComponent((), la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("build, exact, rs", [
+    (lambda: _density(la.arcsine1(la.fixture_catalog()["EX2"].measure)),
+     la.ex3_closed_form, np.linspace(5.0, 12.0, 40)),
+    (lambda: _density(la.arcsine1(la.fixture_catalog()["EX1"].measure)),
+     la.k0, np.geomspace(1e-3, 25.0, 40)),
+    # pi^(-1/2) int_x^oo (s - x)^(-1/2) e^(-s) ds = e^(-x)
+    (lambda: la.frac_half(_unit_exponential()).density,
+     lambda x: math.exp(-x), np.geomspace(1e-6, 30.0, 40)),
+], ids=["a1(EX2) = EX3", "a1(EX1) = K0", "frac_half(exp) = exp"])
+def test_abel_outputs_keep_relative_accuracy_below_the_absolute_tolerance(build, exact, rs):
+    # the far values lie below INNER_ABS_TOL, so only a relative check sees a
+    # piece whose break points start above the scale where its mass sits
+    for r, v in zip(rs.tolist(), build().values(rs).tolist()):
+        want = exact(r)
+        assert abs(v - want) <= 1e-11 * want, (r, v, want)
+
+
+def test_nested_inversion_read_budget(ex1_measure):
+    # a1(EX1) read through its inversion is an Abel integral of an Abel
+    # integral: every outer node pays for a whole inner integral
+    reads = []
+
+    class Counting(la.ExpPowerDensity):
+        def values(self, rs):
+            r = np.asarray(rs, float)
+            reads.append(r.size)
+            return super().values(r)
+
+    d = _density(ex1_measure)
+    img = la.arcsine1(la.half_line_measure(density=Counting(d.c, d.a, d.b, d.p)))
+    la.invert_arcsine1(img, (2e-3, 50.0, 4))
+    assert 0 < sum(reads) <= 250_000
+    reads.clear()
+    _density(img).value(1.3)
+    assert 0 < sum(reads) <= 300
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _density(la.arcsine1(la.fixture_catalog()["EX1"].measure)),
+    lambda: _density(la.arcsine1(la.fixture_catalog()["EX2"].measure)),
+    lambda: _density(la.arcsine2_direct(la.fixture_catalog()["EX2"].measure)),
+    lambda: la.frac_half(_unit_exponential()).density,
+], ids=["a1(EX1)", "a1(EX2)", "a2_direct(EX2)", "frac_half(exp)"])
+def test_abel_marks_do_not_depend_on_the_batch(build):
+    # each piece's marks come from its own data; 96 radii make more than
+    # CHUNK_INTERVALS cells, so the batch is also summed in several chunks
+    rs = np.geomspace(1e-3, 12.0, 96)
+    batch = build().values(rs)
+    d = build()
+    assert batch.tolist() == [d.value(r) for r in rs.tolist()]
+
+
+def test_inversion_tails_do_not_depend_on_the_grid(ex1_measure):
+    img = la.arcsine1(ex1_measure)
+    table = la.invert_arcsine1(img, (2e-3, 50.0, 4)).components[0][2]
+    for u, t in zip(table.us, table.tails):
+        alone = 0.5 * _abel_integrals(_density(img), 2.0, np.array([u]), DEFAULT_ABS_TOL, str)
+        assert alone.tolist() == [t], u
+
+
+def test_abel_kernels_read_zero_at_the_end_of_a_bounded_source():
+    # x = r**2 at the supremum of the a1 image rounds to the source's end or
+    # past it, so no Abel integral is left to take
+    dens = la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0, (0.0, 2.0))
+    for d in (_density(la.arcsine1(la.half_line_measure(density=dens))),
+              la.frac_half(la.RadialComponent((), dens)).density):
+        end = d.support[1]
+        assert d.values(np.array([end])).tolist() == [0.0] and d.value(end) == 0.0
