@@ -81,10 +81,14 @@ class Density:
 
         Only meaningful when the support starts at 0; a logarithmic factor on
         top of r**e is ignored (it never flips the strict integrability
-        inequalities used by validate)."""
+        inequalities used by validate), so a log blowup has exponent 0 and
+        is declared by singular_at_low instead."""
         return 0.0
 
     def singular_at_low(self) -> bool:
+        """True when the density blows up (integrably) as r -> 0+, log
+        blowups of exponent 0 included; integrals whose range starts at 0
+        then map their first piece by r = t**2."""
         return False
 
     def singular_at_high(self) -> bool:

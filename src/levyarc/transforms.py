@@ -25,9 +25,13 @@ same computation twice.
 
 The half-integral kernel and the inversion of a1 share one Abel evaluator,
 int f(s**(1/q)) (s - x)^(-1/2) ds, which reads a density f in s = r**q: the
-kernel reads its source with q = 1, the inversion its image with q = 2.
-Its decade marks on a piece (a, b) start at 1e-3 of the gap from a down to the
-nearest point where the integrand may not be smooth, capped at 1e-5 (b - a).
+kernel reads its source with q = 1, the inversion its image with q = 2, or an
+a1 image through its power-1 sibling with q = 1. A finite piece (a, b) runs on
+s = a + (b - a) w**2, which absorbs an inverse square root blowup at a; a
+piece that ends on a blowup of f runs on s = a + (b - a) sin(theta)**2, which
+absorbs one at each end. Its decade marks start at 1e-3 of the gap from a down
+to the nearest point where the integrand may not be smooth, capped at
+1e-5 (b - a).
 
 Chain rewrite: with P_p the image under r -> r**p, every op is
 Upsilon_sigma o P_p: a1 = (arcsine, 1/2), a2 = (arcsine, 1), and a scale
@@ -212,19 +216,26 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
                     label: Callable[[int], str]) -> np.ndarray:
     """int over s > x of f(s**(1/q)) (s - x)^(-1/2) ds for every x of xs, the
     density f read in s = r**q, solved as one batch: q = 1 for the
-    half-integral kernel, q = 2 for the inversion of a1. The range, its
+    half-integral kernel and for an a1 image read through its power-1
+    sibling, q = 2 for the inversion of any other image. The range, its
     truncation, the blowups and the kinks all come from f.
 
     An unbounded range is cut at max(2x, R**q), R certified by
     f.weighted_tail_radius(abs_tol / (q sqrt(2)), q/2 - 1): beyond 2x,
     (s - x)^(-1/2) <= sqrt(2) s^(-1/2), so after s = r**q the dropped tail is
-    at most abs_tol. The range is split at every blowup of f. On a finite
-    piece (a, b) the sine map s = a + (b - a) sin^2(theta) absorbs inverse
-    square root blowups at both edges, including the s = x anchor when
-    a == x, so the integrand never divides by a difference that can
-    underflow. The kinks of f, mapped to s, are break points, and so is
-    every decade of (s - a)/(b - a) from the piece's own scale up (see the
-    comment at the marks). label(i) names the integral at xs[i]."""
+    at most abs_tol. The range is split at every blowup of f. A finite piece
+    (a, b) runs on the square map s = a + (b - a) w^2, w in (0, 1), which
+    absorbs an inverse square root blowup at a, the s = x anchor included
+    when a == x. A piece that ends on a blowup (a cut, or the support's end
+    where f.singular_at_high()) runs on the sine map
+    s = a + (b - a) sin^2(theta), theta in (0, pi/2), which absorbs one at
+    both edges: there (s - a)^(-1/2) (b - s)^(-1/2) is exactly constant, so
+    the engine never refines into the rounding of b - s. Either way the
+    integrand forms s - x = (a - x) + (b - a) w^2 (or sin^2) itself and never
+    divides by a difference that can underflow. The kinks of f and every
+    decade of (s - a)/(b - a) from the piece's own scale up (see the comment
+    at the marks) are break points, mapped by w = ((s - a)/(b - a))^(1/2)
+    (theta = arcsin w). label(i) names the integral at xs[i]."""
     step = max(1, BREAK_POINT_BUDGET // (len(f.interior_singular_radii()) + 1) // (len(f.kinks()) + 11))
     if xs.size > step:
         return np.concatenate([_abel_integrals(f, q, xs[s:s + step], abs_tol,
@@ -262,55 +273,70 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     finite = np.isfinite(b)
     span = np.where(finite, b - a, 1.0)
     lead = a - x
-    # a finite piece runs on (0, pi/2), an unbounded one on (a, oo). A finite
-    # piece's break points, sine-mapped, are the kinks inside it and the marks
-    # rel0 * 10**k below 1 of (s - a)/span. The integrand is smooth on the
-    # scale of d0, the distance from a down to x (when a > x), lo, or a blowup
-    # or kink, so rel0 = 1e-3 d0/span; the clip to [1e-12, 1e-5] gives a piece
-    # that starts on such a point (d0 = 0) the marks 1e-11 ... 1e-1, and
-    # every piece at least four.
+    # kinds 0, 1, 2: a finite piece on w in (0, 1), s = a + span w**2; one
+    # that ends on a blowup of f on theta in (0, pi/2), w = sin(theta); an
+    # unbounded piece on (a, oo)
+    blown = np.array(blowups + ([hi] if math.isfinite(hi) and f.singular_at_high() else []))
+    sine = finite & (np.abs(b[:, None] - blown) <= 1e-12 * b[:, None]).any(axis=1)
+    kind = np.where(finite, sine.view(np.int8), 2)
+    # a finite piece's break points, mapped, are the kinks inside it and the
+    # marks rel0 * 10**k below 1 of (s - a)/span. The integrand is smooth on
+    # the scale of d0, the distance from a down to x (when a > x), lo, or a
+    # blowup or kink, so rel0 = 1e-3 d0/span; the clip to [1e-12, 1e-5] gives
+    # a piece that starts on such a point (d0 = 0) the marks 1e-11 ... 1e-1,
+    # and every piece at least four.
     gaps = a[:, None] - np.concatenate([blowups, knots, [lo]])
     d0 = np.fmin(np.where(lead > 0.0, lead, np.inf), np.where(gaps >= 0.0, gaps, np.inf).min(axis=1))
-    marks = _decade_marks(0.0, np.ones(a.size), np.clip(1e-3 * d0 / span, 1e-12, 1e-5))
-    points = np.where(finite[:, None], np.arcsin(np.sqrt(marks)), np.nan)
-    ends = (0.0, 0.5 * math.pi, False)
-    if not finite.all():
-        ends = (np.where(finite, 0.0, a), np.where(finite, 0.5 * math.pi, b), ~finite)
+    rel = _decade_marks(0.0, np.ones(a.size), np.clip(1e-3 * d0 / span, 1e-12, 1e-5))
     if knots.size:
         inside = (knots > a[:, None]) & (knots < b[:, None])
-        rel = np.where(inside, (knots - a[:, None]) / span[:, None], np.nan)
-        mapped = np.where(finite[:, None], np.arcsin(np.sqrt(rel)), knots)
-        points = np.concatenate([points, np.where(inside, mapped, np.nan)], axis=1)
+        rel = np.concatenate([rel, np.where(inside, (knots - a[:, None]) / span[:, None], np.nan)], axis=1)
+    points = np.sqrt(rel)
+    if sine.any():
+        points[sine] = np.arcsin(points[sine])
+    if not finite.all():
+        points[~finite] = np.nan
+        if knots.size:
+            points[~finite, -knots.size:] = np.where(inside[~finite], knots, np.nan)
 
-    def sine_mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # s - x = (a - x) + span sin^2(t): no difference that can cancel, and
-        # at a == x the quotient is 2 span^(1/2) cos(t) g(s)
-        st = np.sin(t)
+    def square_mapped(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # s - x = (a - x) + span w^2: no difference that can cancel, and at
+        # a == x the quotient is 2 span^(1/2) g(s)
         sp = span[k]
-        rise = sp * st
-        rise *= st
+        rise = sp * w
+        rise *= w
         out = 2.0 * sp
-        out *= st
-        out *= np.cos(t)
+        out *= w
         out *= g(a[k] + rise)
         rise += lead[k]
         return np.divide(out, np.sqrt(rise, out=rise), out=out)
 
-    def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        fin = finite[k]
-        if fin.all():
-            return sine_mapped(t, k)
-        out = np.empty(t.shape)
-        out[fin] = sine_mapped(t[fin], k[fin])
+    def sine_mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        # w = sin(t), dw = cos(t) dt
+        out = square_mapped(np.sin(t), k)
+        out *= np.cos(t)
+        return out
+
+    def unbounded(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         # no truncation radius is available; the quotient is safe here
         # because a > x holds on any unbounded piece with cuts before it,
         # and the anchored case runs on the endpoint substitution
-        s = t[~fin]
-        out[~fin] = g(s) / np.sqrt(s - x[k[~fin]])
+        return g(s) / np.sqrt(s - x[k])
+
+    maps = (square_mapped, sine_mapped, unbounded)
+    present = np.unique(kind).tolist()
+
+    def mixed(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        out, kk = np.empty(t.shape), kind[k]
+        for c in present:
+            at = kk == c
+            out[at] = maps[c](t[at], k[at])
         return out
 
-    vals = quad_batch(integrand, owner.size, ends[0], ends[1], abs_tol=tols,
-                      singular_left=ends[2], points=points, label=lambda k: label(owner[k]))
+    integrand = maps[present[0]] if len(present) == 1 else mixed
+    vals = quad_batch(integrand, owner.size, np.where(finite, 0.0, a),
+                      np.where(sine, 0.5 * math.pi, np.where(finite, 1.0, b)), abs_tol=tols,
+                      singular_left=~finite, points=points, label=lambda k: label(owner[k]))
     return np.bincount(owner, vals, xs.size)
 
 
@@ -423,6 +449,13 @@ class _HalfIntegralKernel(TransformedDensity):
             a = f.exponent_at_zero()
             exps.append(0.0 if f.support[0] > 0.0 or a >= -0.5 else self.power * (a + 0.5))
         return min(exps, default=0.0)
+
+    def singular_at_low(self) -> bool:
+        """Beyond a negative exponent: a source density s^(-1/2) at 0 leaves
+        the log blowup of exponent 0 (a1(EX1) = K0)."""
+        f = self.source.density
+        return super().singular_at_low() or (
+            f is not None and f.support[0] == 0.0 and f.exponent_at_zero() == -0.5)
 
     def singular_at_high(self) -> bool:
         return self.source.atom_at_sup() and math.isfinite(self.support[1])
@@ -557,6 +590,14 @@ class _ScaleMixtureKernel(TransformedDensity):
         if src_exp is not None and tau_exp is not None:
             exps.append(min(src_exp, tau_exp))
         return min(exps) if exps else 0.0
+
+    def singular_at_low(self) -> bool:
+        """Beyond a negative exponent: any cross term with a source or
+        dilation density singular at 0, which covers the log blowups of
+        exponent 0 (the K0 and elliptic dilations)."""
+        return super().singular_at_low() or any(
+            d is not None and d.support[0] == 0.0 and d.singular_at_low()
+            for d in (self.source.density, self.dilation.density))
 
     def _blowup_radii(self) -> set[float]:
         """A source atom crossed with a dilation density that blows up at its
@@ -843,7 +884,7 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         if dens.depth >= MAX_KERNEL_DEPTH:
             dens = tabulate_density(dens)
         us = _inversion_grid(dens, grid)
-        tails = (0.5 * _abel_integrals(dens, 2.0, np.array(us), abs_tol, lambda i: (
+        tails = (0.5 * _abel_integrals(*_read_in_square(dens), np.array(us), abs_tol, lambda i: (
             f"inversion tail at u={us[i]!r} of {dens.provenance_name()}"))).tolist()
         t0 = max(tails[0], 0.0)
         floor = -MONOTONE_SLACK * max(t0, 1e-300)
@@ -858,6 +899,16 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         cleaned = tuple(max(t, 0.0) for t in tails)
         comps.append((dirn, rc.weight, TailTable(tuple(us), cleaned)))
     return TailDecomposition(m.d, tuple(comps))
+
+
+def _read_in_square(dens: Density) -> tuple[Density, float]:
+    """(f, q) with f(s**(1/q)) = dens(s**(1/2)), the image density as the
+    inversion's Abel integral reads it. An a1 kernel is its power-1 sibling
+    (same source and constant) read at s itself: the same function without
+    the sqrt-then-square round trip, with its atom blowups at loc exactly."""
+    if isinstance(dens, _HalfIntegralKernel) and dens.power == 2.0:
+        return _HalfIntegralKernel(dens.source, dens.name, 1.0, dens.const), 1.0
+    return dens, 2.0
 
 
 def _inversion_grid(dens: Density, grid: tuple[float, float, int] | None) -> list[float]:

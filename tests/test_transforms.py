@@ -14,7 +14,7 @@ from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
 from levyarc.measures import DEFAULT_ABS_TOL, Density, integrate, power_reparam, validate
 from levyarc.transforms import (TWO_OVER_PI, ArcsineDilationDensity, _abel_integrals,
                                 _ChainKernel, _HalfIntegralKernel, _ScaleMixtureKernel,
-                                _compose)
+                                _compose, _read_in_square)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -935,8 +935,10 @@ def test_abel_marks_do_not_depend_on_the_batch(build):
 def test_inversion_tails_do_not_depend_on_the_grid(ex1_measure):
     img = la.arcsine1(ex1_measure)
     table = la.invert_arcsine1(img, (2e-3, 50.0, 4)).components[0][2]
+    f, q = _read_in_square(_density(img))
+    assert q == 1.0  # the a1 image is read through its power-1 sibling
     for u, t in zip(table.us, table.tails):
-        alone = 0.5 * _abel_integrals(_density(img), 2.0, np.array([u]), DEFAULT_ABS_TOL, str)
+        alone = 0.5 * _abel_integrals(f, q, np.array([u]), DEFAULT_ABS_TOL, str)
         assert alone.tolist() == [t], u
 
 
@@ -948,3 +950,116 @@ def test_abel_kernels_read_zero_at_the_end_of_a_bounded_source():
               la.frac_half(la.RadialComponent((), dens)).density):
         end = d.support[1]
         assert d.values(np.array([end])).tolist() == [0.0] and d.value(end) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the Abel evaluator's maps: square on a piece, sine on one ending on a blowup
+# ---------------------------------------------------------------------------
+
+def _near_blowup_cases():
+    flat = la.frac_half(la.frac_half(la.RadialComponent(((1.0, 1.0),)))).density
+    arcsine = _density(la.arcsine1(la.half_line_measure(
+        density=la.frac_half(la.RadialComponent(((1.0, 1.0),))).density)))
+    for k in range(1, 13):
+        # frac_half twice of an atom at 1 is flat; a1 of pi^(-1/2) (1 - s)^(-1/2)
+        # is (2/pi) pi^(-1/2) B(1/2, 1/2) = 2/sqrt(pi) at every r < 1
+        yield flat, 1.0 - 10.0 ** -k, 1.0
+        yield flat, 10.0 ** -k, 1.0
+        yield arcsine, math.sqrt(1.0 - 10.0 ** -k), 2.0 / SQRT_PI
+
+
+def test_abel_kernels_next_to_a_blowup_are_right_or_raise():
+    # the pieces that end on the blowup at 1 stay on the sine map, whose
+    # cosine absorbs (1 - s)^(-1/2); on the square map all 36 points raise
+    raised = 0
+    for d, r, want in _near_blowup_cases():
+        try:
+            got = d.value(r)
+        except QuadratureNonConvergence:
+            raised += 1
+            continue
+        assert abs(got - want) <= 1e-12 + 1e-12 * want, (d.name, r, got)
+    # 22 of the 36 raise when every finite piece is sine-mapped
+    assert raised <= 22
+
+
+def _exact_abel_of_table(xs, ys, x):
+    """int_x^oo (s - x)^(-1/2) table(s) ds, piece by piece in closed form at
+    30 digits: on a piece alpha + beta s, with d = s - x, it is
+    2 (alpha + beta x) (d1^(1/2) - d0^(1/2)) + (2/3) beta (d1^(3/2) - d0^(3/2))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        x, total = mpmath.mpf(x), mpmath.mpf(0)
+        for s0, s1, y0, y1 in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
+            if s1 <= x:
+                continue
+            beta = (mpmath.mpf(y1) - y0) / (mpmath.mpf(s1) - s0)
+            lead = y0 + beta * (x - s0)
+            d0, d1 = max(mpmath.mpf(s0) - x, 0), mpmath.mpf(s1) - x
+            total += (2 * lead * (mpmath.sqrt(d1) - mpmath.sqrt(d0))
+                      + mpmath.mpf(2) / 3 * beta * (d1 ** 1.5 - d0 ** 1.5))
+        return float(total)
+
+
+def test_abel_kernels_of_a_kinked_table_match_the_exact_pieces():
+    # every knot is a break point, mapped into the piece variable by
+    # w = ((s - a)/span)^(1/2); the table's slopes change sign and size
+    xs = np.geomspace(0.05, 5.0, 41)
+    ys = np.exp(-xs) * (1.0 + 0.5 * np.sin(7.0 * xs))
+    table = la.TableDensity(tuple(xs.tolist()), tuple(ys.tolist()))
+    at = np.concatenate([xs[:-1], xs[:-1] * (1.0 + 1e-9), np.sqrt(xs[:-1] * xs[1:]), [0.01]])
+    frac = la.frac_half(la.RadialComponent((), table)).density
+    a1 = _density(la.arcsine1(la.half_line_measure(density=table)))
+    rs = np.sqrt(at)
+    for d, radii, anchors, const in ((frac, at, at, 1.0 / SQRT_PI),
+                                     (a1, rs, rs ** 2, TWO_OVER_PI)):
+        for r, x, got in zip(radii.tolist(), anchors.tolist(), d.values(radii).tolist()):
+            want = const * _exact_abel_of_table(xs.tolist(), ys.tolist(), x)
+            assert abs(got - want) <= 1e-13 * want, (d.name, r, got, want)
+
+
+def test_inverting_just_below_an_atom(two_atoms):
+    # the a1 image is inverted through its power-1 sibling at s, so loc - s
+    # carries no rounding from a square root squared back
+    img = la.arcsine1(two_atoms)
+    for u in (1.996, 1.998):
+        tail = la.invert_arcsine1(img, (u, 1.999, 2)).components[0][2].tails[0]
+        assert abs(tail - 1.0) <= 1e-11, u
+
+
+def _counting_passes(monkeypatch):
+    from levyarc import quadrature
+    calls, cells = [0], [0]
+    gk21 = quadrature._gk21
+
+    def counting(f, key, table, kinds):
+        if key.size <= quadrature.CHUNK_INTERVALS:  # a leaf: one call of f
+            calls[0] += 1
+            cells[0] += key.size
+        return gk21(f, key, table, kinds)
+
+    monkeypatch.setattr(quadrature, "_gk21", counting)
+    return calls, cells
+
+
+def test_log_blowups_at_zero_count_as_singular(delta1, ex1_measure, monkeypatch):
+    calls, cells = _counting_passes(monkeypatch)
+    # a scale mixture over the K0 dilation: ups0(a1(delta1)) = (2/pi) K0(r)
+    k0_image = la.upsilon0(la.arcsine1(delta1)).components[0][1]
+    assert k0_image.density.exponent_at_zero() == 0.0 and k0_image.density.singular_at_low()
+    got = integrate(k0_image, lambda r: r, (0.0, math.inf))
+    assert abs(got - TWO_OVER_PI) <= 1e-15 and calls[0] <= 6  # 13 passes without the map
+    # the elliptic dilation: a2(a2(delta1)) carries the unit mass
+    ell = la.arcsine2(la.arcsine2(delta1)).components[0][1]
+    assert ell.density.singular_at_low()
+    assert integrate(ell, lambda r: 1.0, (0.0, math.inf)) == pytest.approx(1.0, abs=1e-10)
+    # a1 of a source density s^(-1/2) at 0: a1(EX1) = K0
+    a1 = la.arcsine1(ex1_measure).components[0][1]
+    assert a1.density.exponent_at_zero() == 0.0 and a1.density.singular_at_low()
+    mpmath = pytest.importorskip("mpmath")
+    want = float(mpmath.quad(lambda r: mpmath.besselk(0, r), [0, 1]))
+    cells[0] = 0
+    got = integrate(a1, lambda r: 1.0, (0.0, 1.0))
+    # qk21 cells of the outer integral and of every Abel integral under it;
+    # 28,542 without the endpoint map
+    assert abs(got - want) <= 1e-12 and cells[0] <= 16_000
