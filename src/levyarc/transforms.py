@@ -351,18 +351,14 @@ class TransformedDensity(Density):
     point: value(r) is values() at the single radius r.
 
     The half-integral kernel and the scale-mixture kernel below subclass it
-    and supply _sup, _compute_depth, _evaluate (on an array of radii inside
-    the support) and _compute_exponent along with the Density metadata.
+    and supply support, depth and _exponent (the exponent at zero) as cached
+    properties, computed from the source on first read, and _evaluate (on an
+    array of radii inside the support), along with the Density metadata.
     name labels provenance and error messages.
     """
 
     source: RadialComponent
     name: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", (0.0, self._sup()))
-        object.__setattr__(self, "depth", self._compute_depth())
-        object.__setattr__(self, "_cache", {})
 
     def values(self, rs) -> np.ndarray:
         """The density at every radius of an array, evaluated as one batch.
@@ -372,38 +368,32 @@ class TransformedDensity(Density):
         return _on_support(r, np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0), self._evaluate)
 
     def exponent_at_zero(self) -> float:
-        cache = self._cache
-        if "exp0" not in cache:
-            cache["exp0"] = self._compute_exponent()
-        return cache["exp0"]
+        return self._exponent
 
     def singular_at_low(self) -> bool:
         return self.exponent_at_zero() < 0.0
 
     def table_radius(self) -> float:
-        lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
         try:
-            return self.weighted_tail_radius(1e-13, 0.0)
+            return super().table_radius()
+        except NotImplementedError:
+            return self._ladder_radius
+
+    @cached_property
+    def _ladder_radius(self) -> float:
+        r = 1.0
+        try:
+            r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
         except NotImplementedError:
             pass
-        cache = self._cache
-        if "table_r" not in cache:
-            r = 1.0
-            try:
-                r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
-            except NotImplementedError:
-                pass
-            # the first r 2**k below 1e9 (r >= 1) where the density at it and
-            # at 0.7 of it is at most 1e-13 over it, else the first above 1e9;
-            # the whole ladder is read in one batch
-            rs = min(r, 1e9) * 2.0 ** np.arange(31)
-            rs = rs[rs < 1e9]
-            vals = self.values(np.concatenate([rs, 0.7 * rs])).reshape(2, -1)
-            low = np.flatnonzero(vals.max(axis=0) * rs <= 1e-13)
-            cache["table_r"] = float(rs[low[0]]) if low.size else r * 2.0 ** rs.size
-        return cache["table_r"]
+        # the first r 2**k below 1e9 (r >= 1) where the density at it and at
+        # 0.7 of it is at most 1e-13 over it, else the first above 1e9; the
+        # whole ladder is read in one batch
+        rs = min(r, 1e9) * 2.0 ** np.arange(31)
+        rs = rs[rs < 1e9]
+        vals = self.values(np.concatenate([rs, 0.7 * rs])).reshape(2, -1)
+        low = np.flatnonzero(vals.max(axis=0) * rs <= 1e-13)
+        return float(rs[low[0]]) if low.size else r * 2.0 ** rs.size
 
     def provenance_name(self) -> str:
         parts = []
@@ -422,10 +412,12 @@ class _HalfIntegralKernel(TransformedDensity):
     power: float
     const: float
 
-    def _sup(self) -> float:
-        return self.source.sup_support ** (1.0 / self.power)
+    @cached_property
+    def support(self) -> tuple[float, float]:
+        return (0.0, self.source.sup_support ** (1.0 / self.power))
 
-    def _compute_depth(self) -> int:
+    @cached_property
+    def depth(self) -> int:
         src = self.source
         return src.kernel_depth() + (1 if src.density is not None else 0)
 
@@ -441,14 +433,14 @@ class _HalfIntegralKernel(TransformedDensity):
                                      lambda i: f"{self.name} kernel at r={float(rs[i])!r}")
         return self.const * total
 
-    def _compute_exponent(self) -> float:
-        src = self.source
-        exps = [0.0] if src.atoms else []
-        f = src.density
-        if f is not None:
-            a = f.exponent_at_zero()
-            exps.append(0.0 if f.support[0] > 0.0 or a >= -0.5 else self.power * (a + 0.5))
-        return min(exps, default=0.0)
+    @cached_property
+    def _exponent(self) -> float:
+        # atoms leave exponent 0; a source density ~ s^a at 0 with a < -1/2
+        # leaves power (a + 1/2)
+        f = self.source.density
+        if f is None or f.support[0] > 0.0:
+            return 0.0
+        return self.power * min(f.exponent_at_zero() + 0.5, 0.0)
 
     def singular_at_low(self) -> bool:
         """Beyond a negative exponent: a source density s^(-1/2) at 0 leaves
@@ -487,6 +479,19 @@ class _HalfIntegralKernel(TransformedDensity):
         return _rc_tail_radius(self.source, tol / c, q - 0.5) ** q0
 
 
+def _cross_terms(src: RadialComponent, tau: DilationMeasure) -> tuple[list, tuple | None]:
+    """The cross terms of src x tau under (s, u) -> s*u that carry a density:
+    each density with the atoms of the other side, the dilation's first, and
+    the (source, dilation) density pair, or None unless both sides have one."""
+    f, t = src.density, tau.density
+    scaled = []
+    if t is not None and src.atoms:
+        scaled.append((t, src.atoms))
+    if f is not None and tau.atoms:
+        scaled.append((f, tau.atoms))
+    return scaled, (None if f is None or t is None else (f, t))
+
+
 @dataclass(frozen=True, eq=False)
 class _ScaleMixtureKernel(TransformedDensity):
     """Image of source x dilation under (s, u) -> s*u; density part
@@ -495,33 +500,26 @@ class _ScaleMixtureKernel(TransformedDensity):
 
     dilation: DilationMeasure
 
-    def _sup(self) -> float:
-        return self.source.sup_support * self.dilation.sup_support
+    @cached_property
+    def support(self) -> tuple[float, float]:
+        return (0.0, self.source.sup_support * self.dilation.sup_support)
 
-    def _compute_depth(self) -> int:
-        src, tau = self.source, self.dilation
-        d = 0
-        if src.atoms and tau.density is not None:
-            d = max(d, tau.density.depth)
-        if src.density is not None and tau.atoms:
-            d = max(d, src.density.depth)
-        if src.density is not None and tau.density is not None:
-            d = max(d, max(src.density.depth, tau.density.depth) + 1)
-        return d
+    @cached_property
+    def depth(self) -> int:
+        scaled, pair = _cross_terms(self.source, self.dilation)
+        depth = 1 + max(pair[0].depth, pair[1].depth) if pair else 0
+        for d, _ in scaled:
+            depth = max(depth, d.depth)
+        return depth
 
     def _evaluate(self, rs: np.ndarray) -> np.ndarray:
-        src, tau = self.source, self.dilation
+        scaled, pair = _cross_terms(self.source, self.dilation)
         total = np.zeros(rs.shape)
-        tau_dens = tau.density
-        if tau_dens is not None:
-            for s, m in src.atoms:
-                total += m * tau_dens.values(rs / s) / s
-        f = src.density
-        if f is not None:
-            for u0, w in tau.atoms:
-                total += w * f.values(rs / u0) / u0
-            if tau_dens is not None:
-                total += self._upsilon_double(rs, f, tau_dens)
+        for d, atoms in scaled:
+            for c, m in atoms:
+                total += m * d.values(rs / c) / c
+        if pair:
+            total += self._upsilon_double(rs, *pair)
         return total
 
     def _upsilon_double(self, rs: np.ndarray, f: Density, t: Density) -> np.ndarray:
@@ -570,25 +568,15 @@ class _ScaleMixtureKernel(TransformedDensity):
                           blowups=blowups,
                           label=lambda k: f"{self.name} kernel at r={float(rs[k])!r}")
 
-    def _compute_exponent(self) -> float:
-        # each cross term contributes, output behaves like the worst
-        src = self.source
-        src_exp = None
-        if src.density is not None:
-            d = src.density
-            src_exp = d.exponent_at_zero() if d.support[0] == 0.0 else 0.0
-        tau = self.dilation
-        tau_exp = None
-        if tau.density is not None:
-            d = tau.density
-            tau_exp = d.exponent_at_zero() if d.support[0] == 0.0 else 0.0
-        exps = []
-        if src.atoms and tau_exp is not None:
-            exps.append(tau_exp)
-        if src_exp is not None and tau.atoms:
-            exps.append(src_exp)
-        if src_exp is not None and tau_exp is not None:
-            exps.append(min(src_exp, tau_exp))
+    def _densities(self) -> list[Density]:
+        scaled, pair = _cross_terms(self.source, self.dilation)
+        return [d for d, _ in scaled] + list(pair or ())
+
+    @cached_property
+    def _exponent(self) -> float:
+        # each density in a cross term contributes, output behaves like the
+        # worst; one whose support starts above 0 contributes 0
+        exps = [d.exponent_at_zero() if d.support[0] == 0.0 else 0.0 for d in self._densities()]
         return min(exps) if exps else 0.0
 
     def singular_at_low(self) -> bool:
@@ -596,25 +584,18 @@ class _ScaleMixtureKernel(TransformedDensity):
         dilation density singular at 0, which covers the log blowups of
         exponent 0 (the K0 and elliptic dilations)."""
         return super().singular_at_low() or any(
-            d is not None and d.support[0] == 0.0 and d.singular_at_low()
-            for d in (self.source.density, self.dilation.density))
+            d.support[0] == 0.0 and d.singular_at_low() for d in self._densities())
 
     def _blowup_radii(self) -> set[float]:
-        """A source atom crossed with a dilation density that blows up at its
-        finite supremum, and a source density blowup crossed with a dilation
-        atom, leave blowups in the image."""
+        """A density crossed with an atom c of the other side leaves its
+        blowups, inside its support and at a finite supremum it is singular
+        at, at c times their radii in the image."""
         radii = set()
-        tau = self.dilation
-        t_hi = tau.sup_support
-        if (tau.density is not None and tau.density.singular_at_high()
-                and math.isfinite(t_hi)):
-            radii.update(loc * t_hi for loc, _ in self.source.atoms)
-        f = self.source.density
-        if f is not None and tau.atoms:
-            scaled = list(f.interior_singular_radii())
-            if f.singular_at_high() and math.isfinite(f.support[1]):
-                scaled.append(f.support[1])
-            radii.update(u0 * rho for u0, _ in tau.atoms for rho in scaled)
+        for d, atoms in _cross_terms(self.source, self.dilation)[0]:
+            rhos = list(d.interior_singular_radii())
+            if d.singular_at_high() and math.isfinite(d.support[1]):
+                rhos.append(d.support[1])
+            radii.update(c * rho for c, _ in atoms for rho in rhos)
         return radii
 
     def singular_at_high(self) -> bool:
@@ -627,37 +608,27 @@ class _ScaleMixtureKernel(TransformedDensity):
         return tuple(sorted(r for r in self._blowup_radii() if 0.0 < r < hi))
 
     def kinks(self) -> tuple[float, ...]:
-        """A dilation atom u0 copies the source density's kinks x to u0 x,
-        a source atom s0 the dilation density's kinks y to s0 y."""
-        src, tau = self.source, self.dilation
-        out = set()
-        if src.density is not None:
-            out.update(u0 * x for u0, _ in tau.atoms for x in src.density.kinks())
-        if tau.density is not None:
-            out.update(s0 * y for s0, _ in src.atoms for y in tau.density.kinks())
-        return tuple(sorted(out))
+        """A density crossed with an atom c of the other side leaves its kinks
+        y at c y."""
+        return tuple(sorted({c * y for d, atoms in _cross_terms(self.source, self.dilation)[0]
+                             for c, _ in atoms for y in d.kinks()}))
 
     def tail_all_moments(self) -> bool:
-        if math.isfinite(self.support[1]):
-            return True
-        src_ok = self.source.density is None or self.source.density.tail_all_moments()
-        tau_ok = self.dilation.density is None or self.dilation.density.tail_all_moments()
-        return src_ok and tau_ok
+        return math.isfinite(self.support[1]) or all(d.tail_all_moments() for d in self._densities())
 
     def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
         lo, hi = self.support
         if math.isfinite(hi):
             return hi
-        tau = self.dilation
-        tau_hi = tau.sup_support
+        tau_hi = self.dilation.sup_support
         if math.isfinite(tau_hi):
-            cache = self._cache
-            key = ("tau_mass",)
-            if key not in cache:
-                cache[key] = _rc_moment(tau, 0.0)
-            scale = cache[key] * tau_hi ** moment
+            scale = self._dilation_mass * tau_hi ** moment
             return tau_hi * _rc_tail_radius(self.source, tol / max(scale, 1e-300), moment)
         raise NotImplementedError("no certified tail envelope for this dilation")
+
+    @cached_property
+    def _dilation_mass(self) -> float:
+        return _rc_moment(self.dilation, 0.0)
 
 
 def _maybe_tabulated(dens: TransformedDensity) -> Density:
@@ -784,11 +755,8 @@ def upsilon_tau(m: PolarMeasure, tau: DilationMeasure) -> PolarMeasure:
 
     def mapper(rc: RadialComponent) -> RadialComponent:
         atoms = tuple((s * u0, ms * w) for s, ms in rc.atoms for u0, w in tau.atoms)
-        needs_density = ((rc.atoms and tau.density is not None)
-                         or (rc.density is not None and (tau.atoms or tau.density is not None)))
-        dens = None
-        if needs_density:
-            dens = _maybe_tabulated(_scale_mixture(rc, "upsilon", tau))
+        scaled, pair = _cross_terms(rc, tau)
+        dens = _maybe_tabulated(_scale_mixture(rc, "upsilon", tau)) if scaled or pair else None
         return RadialComponent(atoms, dens, rc.weight)
 
     out = m.map_components(mapper)

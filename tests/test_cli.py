@@ -24,6 +24,7 @@ def workdir(tmp_path):
     xs = np.linspace(1e-4, 1.0, 50)
     ramp = la.TableDensity([float(x) for x in xs], [float(x) for x in xs])
     (tmp_path / "ramp.json").write_text(json.dumps(la.to_json(la.half_line_measure(density=ramp))))
+    (tmp_path / "garbage.json").write_text("{not json")
     return tmp_path
 
 
@@ -125,6 +126,23 @@ def test_chain_over_a1_of_a_written_table(workdir):
     ys = [float(row.split(",")[2]) for row in
           (out / "transformed.csv").read_text().strip().splitlines()[1:]]
     assert len(ys) == 9 and all(math.isfinite(y) and y > 0.0 for y in ys)
+
+
+@pytest.mark.parametrize("infile, chain, build", [
+    ("delta1.json", "ups:-2:2", lambda m: la.upsilon_alpha_beta(m, -2.0, 2.0)),
+    ("ramp.json", "powhalf", lambda m: la.power_reparam(m, 0.5)),
+])
+def test_transform_writes_the_density_of_its_chain(workdir, infile, chain, build):
+    out = workdir / "chain"
+    assert run("transform", "--chain", chain, "--in", workdir / infile, "--out", out,
+               "--grid", "0.05:0.99:7") == 0
+    want = build(la.from_json(json.loads((workdir / infile).read_text()))).components[0][1]
+    got = la.from_json(json.loads((out / "transformed.json").read_text())).components[0][1]
+    assert got.atoms == want.atoms == ()
+    assert got.density.provenance_name() == want.density.provenance_name()
+    rows = [row.split(",") for row in (out / "transformed.csv").read_text().strip().splitlines()[1:]]
+    rs = np.array([float(r) for _, r, _ in rows])
+    assert len(rows) == 7 and [float(v) for *_, v in rows] == want.density.values(rs).tolist()
 
 
 def test_transform_unknown_op_is_usage_error(workdir, capsys):
@@ -269,6 +287,10 @@ def test_malformed_measure_file_is_usage_error(workdir, capsys):
     (["invert", "--grid", "0:1:3", "--in", "delta1.json"], "UsageError"),
     (["invert", "--tol", "-1", "--in", "delta1.json"], "UsageError"),
     (["transform", "--grid", "-1:1:3", "--in", "delta1.json"], "UsageError"),
+    (["transform", "--chain", "ups:1", "--in", "delta1.json"], "UsageError"),
+    (["transform", "--chain", "ups:x:1", "--in", "delta1.json"], "UsageError"),
+    (["transform", "--chain", "a1", "--in", "missing.json"], "UsageError"),
+    (["transform", "--chain", "a1", "--in", "garbage.json"], "UsageError"),
 ])
 def test_input_errors_exit_2(workdir, capsys, argv, kind):
     # a measure file is not a triplet: its missing Sigma is malformed input
@@ -286,6 +308,16 @@ def test_internal_errors_are_not_usage_errors(workdir, monkeypatch):
     monkeypatch.setitem(cli_mod._CLASS_TESTS, "jurek", broken)
     with pytest.raises(ValueError, match="internal"):
         run("classify", "jurek", "--in", workdir / "delta1.json", "--out", workdir / "o")
+
+
+def test_quadrature_failure_inside_a_verb_exits_4(workdir, monkeypatch, capsys):
+    def stalls(m):
+        raise la.QuadratureNonConvergence("jurek screen at r=1", 0.5, 1e-3)
+
+    monkeypatch.setitem(cli_mod._CLASS_TESTS, "jurek", stalls)
+    assert run("classify", "jurek", "--in", workdir / "delta1.json", "--out", workdir / "o") == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "QuadratureNonConvergence" and "jurek screen at r=1" in err["message"]
 
 
 def test_csv_round_trips_full_precision(workdir):
