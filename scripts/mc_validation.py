@@ -36,7 +36,7 @@ def zgrid_2d() -> list[list[float]]:
     return [[r * math.cos(a), r * math.sin(a)] for r in (0.5, 1.5, 3.0) for a in (0.3, 1.9, 3.5)]
 
 
-def law_check(paths: int, steps: int, seed: int, budget: float) -> float:
+def law_check(paths: int, seed: int, budget: float) -> float:
     gaussian = la.Triplet([[1.0]], la.PolarMeasure.zero(1), [0.0])
     poisson = la.Triplet([[0.0]], la.half_line_measure(atoms=[(1.0, 1.0)]), [0.5])
     # two jump components in the plane: they share each block's count and
@@ -55,7 +55,7 @@ def law_check(paths: int, steps: int, seed: int, budget: float) -> float:
     for name, trip, zs in (("gaussian", gaussian, zgrid()), ("poisson", poisson, zgrid()),
                            ("two_dir", two_dir, zgrid_2d())):
         for integrand in ("cos_pi_half", "log"):
-            cfg = la.SimConfig(paths=paths, time_steps=steps, seed=seed)
+            cfg = la.SimConfig(paths=paths, seed=seed)
             t0 = time.time()
             draws = la.sample_integral(trip, integrand, cfg)
             emp = la.empirical_cf(draws, zs)
@@ -67,7 +67,7 @@ def law_check(paths: int, steps: int, seed: int, budget: float) -> float:
     return worst
 
 
-def compensation_sweep(paths: int, steps: int, seed: int) -> None:
+def compensation_sweep(paths: int, seed: int) -> None:
     heavy = la.Triplet(
         [[0.0]],
         la.half_line_measure(density=la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0)),
@@ -80,8 +80,8 @@ def compensation_sweep(paths: int, steps: int, seed: int) -> None:
     for eps in (0.1, 0.03, 0.01, 0.003, 0.001):
         row = []
         for comp in (True, False):
-            cfg = la.SimConfig(paths=paths, time_steps=steps, eps=eps,
-                               seed=seed, compensate_small_jumps=comp)
+            cfg = la.SimConfig(paths=paths, eps=eps, seed=seed,
+                               compensate_small_jumps=comp)
             draws = la.sample_integral(heavy, "cos_pi_half", cfg)
             row.append(la.cf_distance(la.empirical_cf(draws, zs), exact))
         print(f"{eps:>8.3f} {row[0]:>13.5f} {row[1]:>14.5f}")
@@ -91,16 +91,13 @@ def compensation_sweep(paths: int, steps: int, seed: int) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--paths", type=int, default=40000)
-    ap.add_argument("--steps", type=int, default=500,
-                    help="accepted and checked (>= 1) but ignored: the sampler is exact, "
-                         "with no time grid")
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--budget", type=float, default=0.02,
                     help="law-check distance that counts as a failure")
     args = ap.parse_args(argv)
 
-    worst = law_check(args.paths, args.steps, args.seed, args.budget)
-    compensation_sweep(args.paths, args.steps, args.seed)
+    worst = law_check(args.paths, args.seed, args.budget)
+    compensation_sweep(args.paths, args.seed)
     ok = worst <= args.budget
     print(f"law check {'PASS' if ok else 'FAIL'} (worst {worst:.5f})")
     return 0 if ok else 1

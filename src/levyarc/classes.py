@@ -148,32 +148,65 @@ def _combine(reports: list[MembershipReport], checked_order: int | None,
     return MembershipReport("member", None, checked_order, notes)
 
 
+def _per_component(m: PolarMeasure, atoms: Callable[[int, float], MembershipReport],
+                   screen: Callable[[int, Density], MembershipReport],
+                   checked_order: int | None, notes: tuple[str, ...] = ()) -> MembershipReport:
+    """One report per component, combined: atoms(idx, first atom location)
+    for a component with atoms, screen(idx, density) for one with a density
+    only, nothing for an empty one."""
+    reports = [atoms(idx, rc.atoms[0][0]) if rc.atoms else screen(idx, rc.density)
+               for idx, (_, rc) in enumerate(m.components)
+               if rc.atoms or rc.density is not None]
+    return _combine(reports, checked_order, notes)
+
+
+def _carries_an_atom(idx: int, loc: float) -> MembershipReport:
+    return MembershipReport("non_member", (idx, loc), None, (f"component {idx} carries an atom",))
+
+
+def _nonincreasing(idx: int, dens: Density) -> MembershipReport:
+    xs = np.asarray(_density_grid(dens), float)
+    if not xs.size:
+        return MembershipReport("inconclusive", None, None, (f"component {idx}: empty grid",))
+    vals = dens.values(xs)
+    scale = np.maximum(np.maximum(np.abs(vals[:-1]), np.abs(vals[1:])), 1e-300)
+    rise = np.flatnonzero(vals[1:] - vals[:-1] > MONOTONE_REL * scale)
+    if rise.size:
+        return MembershipReport("non_member", (idx, float(xs[rise[0] + 1])), None)
+    return MembershipReport("member")
+
+
 def is_jurek(m: PolarMeasure) -> MembershipReport:
     """member iff every radial component is a density that is nonincreasing
     on the test grid (within 1e-9 of local scale). Atoms disqualify."""
-    reports = []
-    for idx, (dirn, rc) in enumerate(m.components):
-        if rc.atoms:
-            reports.append(MembershipReport(
-                "non_member", (idx, rc.atoms[0][0]), None,
-                (f"component {idx} carries an atom",)))
-            continue
-        if rc.density is None:
-            continue
-        xs = _density_grid(rc.density)
-        if not xs:
-            reports.append(MembershipReport("inconclusive", None, None,
-                                            (f"component {idx}: empty grid",)))
-            continue
-        vals = rc.density.values(np.asarray(xs)).tolist()
-        rep = MembershipReport("member")
-        for i in range(1, len(xs)):
-            scale = max(abs(vals[i - 1]), abs(vals[i]), 1e-300)
-            if vals[i] - vals[i - 1] > MONOTONE_REL * scale:
-                rep = MembershipReport("non_member", (idx, float(xs[i])), None)
-                break
-        reports.append(rep)
-    return _combine(reports, None)
+    return _per_component(m, _carries_an_atom, _nonincreasing, None)
+
+
+def _class_a_screen(idx: int, dens: Density) -> MembershipReport:
+    xs = np.asarray(_density_grid(dens), float)
+    if xs.size < 4:
+        return MembershipReport("inconclusive", None, None, (f"component {idx}: empty grid",))
+    vals = dens.values(xs)
+    peak = float(np.max(vals))
+    if peak <= 0.0:
+        return MembershipReport("non_member", (idx, float(xs[0])), None,
+                                (f"component {idx}: density vanishes",))
+    # the cutoff: one past the last point that is not tiny
+    tiny = vals < ZERO_LEVEL * peak
+    cut = int(np.flatnonzero(~tiny)[-1]) + 1
+    if np.any(tiny[:cut]):
+        i = int(np.argmax(tiny[:cut]))
+        return MembershipReport("non_member", (idx, float(xs[i])), None,
+                                (f"component {idx}: interior zero",))
+    # behavior at zero: log-log slope over the smallest decade
+    head = xs <= xs[0] * 10.0
+    hx = np.log(xs[head])
+    hv = np.log(np.maximum(vals[head], 1e-300))
+    slope = float(np.polyfit(hx, hv, 1)[0]) if hx.size >= 2 else 0.0
+    if slope >= LIMINF_SLOPE:
+        return MembershipReport("non_member", (idx, float(xs[0])), None,
+                                (f"component {idx}: density decays like r^{slope:.3g} at zero",))
+    return MembershipReport("member")
 
 
 def class_a_necessary(m: PolarMeasure) -> MembershipReport:
@@ -184,89 +217,30 @@ def class_a_necessary(m: PolarMeasure) -> MembershipReport:
     r^p behavior with p > 0 is flagged while log-type blowups pass). Lower
     semicontinuity is required by the underlying characterization but is not
     checkable from tabulated values; every report notes this."""
-    note = ("lower semicontinuity not checked (not decidable from tabulated values)",)
-    reports = []
-    for idx, (dirn, rc) in enumerate(m.components):
-        if rc.atoms:
-            reports.append(MembershipReport(
-                "non_member", (idx, rc.atoms[0][0]), None,
-                (f"component {idx} carries an atom",)))
-            continue
-        if rc.density is None:
-            continue
-        xs = np.asarray(_density_grid(rc.density), float)
-        if xs.size < 4:
-            reports.append(MembershipReport("inconclusive", None, None,
-                                            (f"component {idx}: empty grid",)))
-            continue
-        vals = rc.density.values(xs)
-        peak = float(np.max(vals))
-        if peak <= 0.0:
-            reports.append(MembershipReport("non_member", (idx, float(xs[0])), None,
-                                            (f"component {idx}: density vanishes",)))
-            continue
-        tiny = vals < ZERO_LEVEL * peak
-        # cutoff detection: first tiny point after which everything stays tiny
-        cut = xs.size
-        for i in range(xs.size):
-            if tiny[i] and np.all(tiny[i:]):
-                cut = i
-                break
-        if np.any(tiny[:cut]):
-            i = int(np.argmax(tiny[:cut]))
-            reports.append(MembershipReport("non_member", (idx, float(xs[i])), None,
-                                            (f"component {idx}: interior zero",)))
-            continue
-        # behavior at zero: log-log slope over the smallest decade
-        head = xs <= xs[0] * 10.0
-        hx = np.log(xs[head])
-        hv = np.log(np.maximum(vals[head], 1e-300))
-        slope = float(np.polyfit(hx, hv, 1)[0]) if hx.size >= 2 else 0.0
-        if slope >= LIMINF_SLOPE:
-            reports.append(MembershipReport(
-                "non_member", (idx, float(xs[0])), None,
-                (f"component {idx}: density decays like r^{slope:.3g} at zero",)))
-            continue
-        reports.append(MembershipReport("member"))
-    return _combine(reports, None, note)
+    return _per_component(m, _carries_an_atom, _class_a_screen, None,
+                          ("lower semicontinuity not checked (not decidable from tabulated values)",))
 
 
 def is_type_g(m: PolarMeasure) -> MembershipReport:
     """member iff for every direction the density is g(r^2) with g passing
     the complete-monotonicity screen."""
-    reports = []
-    for dirn, rc in m.components:
-        if rc.atoms:
-            reports.append(MembershipReport("non_member", (rc.atoms[0][0],), DEFAULT_ORDER,
-                                            ("atoms are not of squared-argument density form",)))
-            continue
-        if rc.density is None:
-            continue
-        us = np.asarray(_cm_grid(rc.density, squared=True))
-        reports.append(_cm_screen(us, rc.density.values(np.sqrt(us)), DEFAULT_ORDER))
-    return _combine(reports, DEFAULT_ORDER)
+    def screen(idx: int, dens: Density) -> MembershipReport:
+        xs = np.asarray(_density_grid(dens), float)
+        us = xs * xs
+        return _cm_screen(us, dens.values(np.sqrt(us)), DEFAULT_ORDER)
+
+    return _per_component(m, lambda idx, loc: MembershipReport(
+        "non_member", (loc,), DEFAULT_ORDER, ("atoms are not of squared-argument density form",)),
+        screen, DEFAULT_ORDER)
 
 
 def is_class_b(m: PolarMeasure) -> MembershipReport:
     """member iff every radial density passes the complete-monotonicity
     screen in r itself."""
-    reports = []
-    for dirn, rc in m.components:
-        if rc.atoms:
-            reports.append(MembershipReport("non_member", (rc.atoms[0][0],), DEFAULT_ORDER,
-                                            ("atoms are not completely monotone densities",)))
-            continue
-        if rc.density is None:
-            continue
-        xs = np.asarray(_cm_grid(rc.density))
-        reports.append(_cm_screen(xs, rc.density.values(xs), DEFAULT_ORDER))
-    return _combine(reports, DEFAULT_ORDER)
+    def screen(idx: int, dens: Density) -> MembershipReport:
+        xs = np.asarray(_density_grid(dens), float)
+        return _cm_screen(xs, dens.values(xs), DEFAULT_ORDER)
 
-
-def _cm_grid(dens: Density, squared: bool = False) -> list[float]:
-    xs = _density_grid(dens)
-    if not xs:
-        return xs
-    if squared:
-        return [x * x for x in xs]
-    return xs
+    return _per_component(m, lambda idx, loc: MembershipReport(
+        "non_member", (loc,), DEFAULT_ORDER, ("atoms are not completely monotone densities",)),
+        screen, DEFAULT_ORDER)

@@ -202,8 +202,7 @@ def _cmd_sample(args) -> int:
         raise _Usage(f"unknown integrand {args.integrand!r}; known: id, {', '.join(INTEGRANDS)}")
     t = Triplet.from_json(_load_json(args.infile))
     try:
-        cfg = SimConfig(paths=args.paths, time_steps=args.steps, eps=args.eps,
-                        seed=args.seed)
+        cfg = SimConfig(paths=args.paths, eps=args.eps, seed=args.seed)
     except ValueError as e:
         raise _Usage(str(e))
     if args.integrand == "id":
@@ -289,9 +288,6 @@ def _build_parser() -> _Parser:
                          "log_sqrt, gauss_tail_inverse")
     sa.add_argument("--in", dest="infile", required=True, help="triplet JSON")
     sa.add_argument("--paths", type=int, default=100_000)
-    sa.add_argument("--steps", type=int, default=2000,
-                    help="accepted and checked (>= 1) but ignored: the sampler is exact, "
-                         "with no time grid")
     sa.add_argument("--eps", type=float, default=1e-3)
     sa.add_argument("--seed", type=int, default=0)
     sa.add_argument("--grid", default=None, help="LO:HI:PTS z grid for the empirical cf")

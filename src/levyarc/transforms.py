@@ -44,7 +44,7 @@ so a depth-2 chain is one scale mixture of the source's power image:
 arcsine1() and the scale mixtures (arcsine2, upsilon_tau and what calls them)
 take that single integral, over the exact power image of any source, whenever
 the component and both dilations are atom-free, the intermediate density is an
-untabulated a1 or scale-mixture kernel, and this table of closed forms has
+a1 or scale-mixture kernel, and this table of closed forms has
 sigma * P_p tau in either order (none has P_(1/2) arcsine, so pq is 1 or 1/2):
 
 * arcsine * c u e^(-b u^2) du = c (pi b)^(-1/2) e^(-b v^2) dv, the
@@ -54,10 +54,9 @@ sigma * P_p tau in either order (none has P_(1/2) arcsine, so pq is 1 or 1/2):
 * arcsine * arcsine = (2/pi)^2 K(1 - v^2) dv on (0, 1).
 
 The rewritten kernel keeps the chain's provenance name. Every other chain
-nests: each kernel whose source carries a density adds one quadrature level.
-Two levels are evaluated exactly (outer tolerance 1e-10, inner 1e-12); beyond
-that the intermediate density is tabulated on a fine geometric grid before
-the next kernel is applied.
+nests: each kernel whose source carries a density adds one quadrature level
+(inner tolerance 1e-12), evaluated on demand at any depth. The inversion of a1
+reads its image the same way.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ from scipy.special import ellipkm1, k0
 from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
                        PolarMeasure, RadialComponent, _on_support, _power_map_density,
-                       integrate, power_reparam, tabulate_density, validate)
+                       integrate, power_reparam, validate)
 from .quadrature import _decade_marks, _split, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
@@ -82,7 +81,6 @@ DilationMeasure = RadialComponent
 
 INNER_ABS_TOL = 1e-12
 BREAK_POINT_BUDGET = 1 << 19  # radii x break points per radius made into arrays at once
-MAX_KERNEL_DEPTH = 2
 TWO_OVER_PI = 2.0 / math.pi
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -631,13 +629,6 @@ class _ScaleMixtureKernel(TransformedDensity):
         return _rc_moment(self.dilation, 0.0)
 
 
-def _maybe_tabulated(dens: TransformedDensity) -> Density:
-    """Tabulate a kernel whose nesting depth exceeds the evaluation budget."""
-    if dens.depth <= MAX_KERNEL_DEPTH:
-        return dens
-    return tabulate_density(dens)
-
-
 # ---------------------------------------------------------------------------
 # the chain rewrite
 # ---------------------------------------------------------------------------
@@ -710,7 +701,7 @@ def _require(m: PolarMeasure, level: str, op: str) -> None:
 
 
 def _kernel_component(dens: TransformedDensity) -> RadialComponent:
-    return RadialComponent((), _maybe_tabulated(dens), dens.source.weight)
+    return RadialComponent((), dens, dens.source.weight)
 
 
 def arcsine1(m: PolarMeasure) -> PolarMeasure:
@@ -756,7 +747,7 @@ def upsilon_tau(m: PolarMeasure, tau: DilationMeasure) -> PolarMeasure:
     def mapper(rc: RadialComponent) -> RadialComponent:
         atoms = tuple((s * u0, ms * w) for s, ms in rc.atoms for u0, w in tau.atoms)
         scaled, pair = _cross_terms(rc, tau)
-        dens = _maybe_tabulated(_scale_mixture(rc, "upsilon", tau)) if scaled or pair else None
+        dens = _scale_mixture(rc, "upsilon", tau) if scaled or pair else None
         return RadialComponent(atoms, dens, rc.weight)
 
     out = m.map_components(mapper)
@@ -803,6 +794,8 @@ class TailTable:
         """The tail at u: the first tabulated value at or below us[0],
         linear interpolation up to and including us[-1], and 0 beyond the
         grid, where nothing was recovered."""
+        if math.isnan(u):
+            raise ValueError(f"tail point must be a number, got {u}")
         us = np.asarray(self.us)
         ts = np.asarray(self.tails)
         if u <= us[0]:
@@ -849,8 +842,6 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         dens = rc.density
         if dens is None:
             raise NotInRange(f"component {idx} has no density")
-        if dens.depth >= MAX_KERNEL_DEPTH:
-            dens = tabulate_density(dens)
         us = _inversion_grid(dens, grid)
         tails = (0.5 * _abel_integrals(*_read_in_square(dens), np.array(us), abs_tol, lambda i: (
             f"inversion tail at u={us[i]!r} of {dens.provenance_name()}"))).tolist()

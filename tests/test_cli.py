@@ -205,7 +205,7 @@ def test_sample_writes_deterministic_outputs(workdir):
     a, b = workdir / "s1", workdir / "s2"
     for out in (a, b):
         rc = run("sample", "cos_pi_half", "--in", workdir / "poisson.json",
-                 "--paths", 400, "--steps", 50, "--seed", 5, "--out", out)
+                 "--paths", 400, "--seed", 5, "--out", out)
         assert rc == 0
     assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
     assert (a / "ecf.csv").read_bytes() == (b / "ecf.csv").read_bytes()
@@ -218,7 +218,7 @@ def test_sample_writes_deterministic_outputs(workdir):
 def test_sample_identity_integrand(workdir):
     out = workdir / "sid"
     rc = run("sample", "--in", workdir / "poisson.json",
-             "--paths", 64, "--steps", 1, "--seed", 2, "--out", out)
+             "--paths", 64, "--seed", 2, "--out", out)
     assert rc == 0
     vals = [float(x) for x in (out / "samples.csv").read_text().strip().splitlines()[1:]]
     assert all(abs(v - round(v)) < 1e-12 for v in vals)
@@ -423,7 +423,6 @@ def test_fuzzed_cli_verbs_end_in_an_exit_code(data):
         argv = ["sample", data.draw(st.sampled_from(["id", "cos_pi_half", "log", "warp"])),
                 "--paths", data.draw(st.sampled_from(["3", "0", "-2", "x", "1.5"])),
                 "--eps", data.draw(st.sampled_from(["1e-3", "0.5", "0", "-1", "nan", "inf", "x"])),
-                "--steps", data.draw(st.sampled_from(["10", "0", "x"])),
                 "--seed", data.draw(st.sampled_from(["0", "-3", "x"])),
                 "--grid", data.draw(_grids)]
     else:

@@ -387,21 +387,52 @@ def test_chained_transform_depth_is_bounded(delta1):
     assert d.value(0.7) > 0.0 and math.isfinite(d.value(0.7))
 
 
-def test_kernels_beyond_the_depth_cap_are_tabulated(ex1_measure, ex2_measure, monkeypatch):
-    # a real depth-3 chain takes seconds per knot, so the cap is lowered to
-    # 0 instead: a depth-1 kernel is then tabulated as soon as it is built,
-    # and inverted from its table
-    from levyarc import transforms
-    kernel = _density(la.upsilon0(ex2_measure))
-    image = la.arcsine1(ex1_measure)
-    table = la.tabulate_density(_density(image))
-    want = la.invert_arcsine1(la.half_line_measure(density=table), (1e-2, 4.0, 9))
-    monkeypatch.setattr(transforms, "MAX_KERNEL_DEPTH", 0)
-    capped = _density(la.upsilon0(ex2_measure))
-    assert isinstance(capped, la.TableDensity)
-    assert capped.provenance_name() == kernel.provenance_name() == "upsilon(exp_power)"
-    assert list(capped.ys) == np.maximum(kernel.values(np.array(capped.xs)), 0.0).tolist()
-    assert la.invert_arcsine1(image, (1e-2, 4.0, 9)) == want
+def _m_arc(s):
+    """E[U^s] under the arcsine dilation."""
+    import mpmath
+    return mpmath.gamma((s + 1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(s / 2 + 1))
+
+
+def _m_ex2(s):
+    """int r^s ex2(r) dr for the EX2 input (sqrt(pi)/4) r^(-1/2) e^(-r/4)."""
+    import mpmath
+    return mpmath.sqrt(mpmath.pi) / 4 * mpmath.power(4, s + 0.5) * mpmath.gamma(s + 0.5)
+
+
+def test_inversion_of_a_depth2_image_reads_it_lazily(ex2_measure):
+    # a1(a1(EX2)) nests two half-integral kernels; inverting it recovers the
+    # tails of a1(EX2), whose density is ex3_closed_form. The reference sums
+    # the tail down from the last grid point, one mpmath quad per gap
+    mpmath = pytest.importorskip("mpmath")
+    tt = la.invert_arcsine1(la.arcsine1(la.arcsine1(ex2_measure)), (1e-2, 4.0, 9)).components[0][2]
+    with mpmath.workdps(20):
+        ex3 = lambda r: (mpmath.exp(-r * r / 8) * mpmath.besselk(0, r * r / 8)
+                         / (2 * mpmath.sqrt(mpmath.pi)))
+        want = [mpmath.quad(ex3, [tt.us[-1], mpmath.inf])]
+        for a, b in zip(tt.us[-2::-1], tt.us[:0:-1]):
+            want.append(want[-1] + mpmath.quad(ex3, [a, b]))
+    for u, got, w in zip(tt.us, tt.tails, want[::-1]):
+        assert got == pytest.approx(float(w), rel=1e-12), u
+
+
+def test_depth3_chain_is_read_lazily(ex2_measure):
+    # a1 = Upsilon_arcsine o P_(1/2), so a1^3(EX2) has the Mellin transform
+    # M(s) = M_EX2(s/8) M_arc(s/4) M_arc(s/2) M_arc(s), and its density is
+    # (1/pi) Re int_0^oo M(it) r^(-it-1) dt. |M(it)| falls like e^(-pi t/16),
+    # so the integral is cut at t = 240, below 1e-20 of the value
+    mpmath = pytest.importorskip("mpmath")
+    d = _density(la.arcsine1(la.arcsine1(la.arcsine1(ex2_measure))))
+    assert isinstance(d, _HalfIntegralKernel) and d.depth == 3
+    rs = (0.3, 1.0)
+    got = d.values(np.array(rs))
+    with mpmath.workdps(20):
+        for r, g in zip(rs, got):
+            def h(t, r=mpmath.mpf(r)):
+                s = mpmath.mpc(0, t)
+                return (_m_ex2(s / 8) * _m_arc(s / 4) * _m_arc(s / 2) * _m_arc(s)
+                        * r ** (-s - 1)).real
+            want = float(mpmath.quad(h, mpmath.linspace(0, 240, 13)) / mpmath.pi)
+            assert g == pytest.approx(want, rel=1e-12), r
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +569,12 @@ def test_tail_table_reads_its_last_grid_point_and_zero_beyond():
     assert table.tail(us[-1] * (1.0 - 1e-12)) == pytest.approx(tails[-1], rel=1e-9)
     assert table.tail(us[-1] * (1.0 + 1e-12)) == 0.0
     assert table.tail(10.0 * us[-1]) == 0.0
+
+
+def test_tail_table_rejects_nan():
+    table = la.TailTable((0.1, 1.0), (1.0, 0.5))
+    with pytest.raises(ValueError, match="nan"):
+        table.tail(math.nan)
 
 
 @pytest.mark.parametrize("kernel, where", [
