@@ -568,7 +568,8 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
                     abs_tol: float = DEFAULT_ABS_TOL,
                     g_moment: float = 0.0) -> np.ndarray:
     """The n integrals of g(., k), k = 0..n-1, against the radial measure over
-    the half-open interval (a, b], solved as one batch. b may be math.inf.
+    the half-open interval (a, b], solved as one batch. b may be math.inf, and
+    a an array of n lower ends, one per integral.
 
     g takes an array of radii and the equally long array of integral
     indices and returns the array of values (a constant broadcasts); it is
@@ -589,7 +590,10 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
     ks = np.arange(n)
     total = np.zeros(n)
     for loc, mass in rc.atoms:
-        if a < loc <= b:
+        inside = (a < loc) & (loc <= b)
+        if np.ndim(inside):
+            total += np.where(inside, g(np.full(n, loc), ks) * mass, 0.0)
+        elif inside:
             total += g(np.full(n, loc), ks) * mass
     if rc.density is not None:
         total += _density_integrals(rc.density, g, n, a, b, abs_tol, g_moment)
@@ -598,33 +602,35 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
 
 def _interval(interval: tuple[float, float]) -> tuple[float, float]:
     a, b = interval
-    if a < 0.0:
+    if np.any(np.asarray(a) < 0.0):
         raise ValueError(f"interval must sit inside (0, oo], got {interval}")
     return a, math.inf if b is None else b
 
 
 def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                       n: int, a: float, b: float, abs_tol: float,
+                       n: int, a, b: float, abs_tol: float,
                        g_moment: float) -> np.ndarray:
-    """The density part of integrate_batch."""
-    lo = max(a, dens.support[0])
+    """The density part of integrate_batch. A scalar a gives every integral
+    one shared partition; an array of lower ends gives each its own."""
+    lo = np.maximum(a, dens.support[0])
     hi = min(b, dens.support[1])
-    if hi <= lo:
+    if (hi <= lo).all():
         return np.zeros(n)
     if math.isinf(hi):
         if dens.tail_all_moments():
             try:
-                hi = max(lo * (1.0 + 1e-12), dens.weighted_tail_radius(abs_tol / 10.0, g_moment))
+                hi = np.maximum(lo * (1.0 + 1e-12), dens.weighted_tail_radius(abs_tol / 10.0, g_moment))
             except NotImplementedError:
                 pass
-    if hi <= lo:
-        return np.zeros(n)
-    sing_lo = dens.singular_at_low() and (lo <= dens.support[0])
-    sing_hi = (dens.singular_at_high() and math.isfinite(dens.support[1])
-               and (hi >= dens.support[1]))
-    # break points: the density's kinks and, over a long finite range, one
-    # mark per decade
-    pts = np.concatenate([dens.kinks(), _decade_marks(lo, hi) if math.isfinite(hi) else ()])
+    sing_lo = dens.singular_at_low() & (lo <= dens.support[0])
+    sing_hi = (dens.singular_at_high() and math.isfinite(dens.support[1])) & (hi >= dens.support[1])
+    # break points: the density's kinks (a row per lower end) and, over a
+    # long finite range, one mark per decade
+    kinks = np.asarray(dens.kinks(), float)
+    if np.ndim(lo):
+        kinks = np.broadcast_to(kinks, (n, kinks.size))
+    pts = np.concatenate([kinks, _decade_marks(lo, hi) if np.isfinite(hi).all() else kinks[..., :0]],
+                         axis=-1)
     if n == 1 or dens.depth == 0:
         def f(r: np.ndarray, k: np.ndarray) -> np.ndarray:
             return g(r, k) * dens.values(r)
@@ -640,11 +646,17 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
                       label="radial integral")
 
 
-def tail(rc: RadialComponent, u: float, *, abs_tol: float = DEFAULT_ABS_TOL) -> float:
-    """Mass of (u, oo) under the radial measure (weight not applied)."""
-    if not (u > 0.0):
-        raise ValueError(f"tail point must be positive, got {u}")
-    return integrate(rc, lambda r: 1.0, (u, math.inf), abs_tol=abs_tol)
+def tail(rc: RadialComponent, u, *, abs_tol: float = DEFAULT_ABS_TOL):
+    """Mass of (u, oo) under the radial measure (weight not applied). An
+    array of tail points gives the array of their tails, solved as one batch,
+    each equal to the tail at that point alone."""
+    us = np.asarray(u, float)
+    if not np.all(us > 0.0):
+        raise ValueError(f"tail points must be positive, got {u}")
+    if not us.ndim:
+        return integrate(rc, lambda r: 1.0, (u, math.inf), abs_tol=abs_tol)
+    return integrate_batch(rc, lambda r, k: 1.0, us.size, (us.ravel(), math.inf),
+                           abs_tol=abs_tol).reshape(us.shape)
 
 
 # ---------------------------------------------------------------------------

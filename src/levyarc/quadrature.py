@@ -459,7 +459,7 @@ def _decade_marks(lo, hi, start=None) -> np.ndarray:
     hi = np.asarray(hi, float)
     floor = np.maximum(lo, hi * 1e-12 if start is None else start)
     # each mark is ten times the one before, as a running product
-    steps = np.full(hi.shape + (int(math.log10(max(1.0, np.max(hi / floor)))) + 2,), 10.0)
+    steps = np.full(floor.shape + (int(math.log10(max(1.0, np.max(hi / floor)))) + 2,), 10.0)
     steps[..., 0] = floor
     marks = np.multiply.accumulate(steps, axis=-1)[..., 1:]
     inside = (hi > 1e4 * floor)[..., None] & (marks < (hi * 0.999)[..., None])

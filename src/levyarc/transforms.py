@@ -25,8 +25,10 @@ same computation twice.
 
 The half-integral kernel and the inversion of a1 share one Abel evaluator,
 int f(s**(1/q)) (s - x)^(-1/2) ds, which reads a density f in s = r**q: the
-kernel reads its source with q = 1, the inversion its image with q = 2, or an
-a1 image through its power-1 sibling with q = 1. A finite piece (a, b) runs on
+kernel reads its source with q = 1, the inversion its image with q = 2. An
+a1 kernel image never reaches it: a1 and its inverse are both half-order
+integrals, which compose to a full one, so the inversion returns the tails of
+the kernel's source, one integral per point. A finite piece (a, b) runs on
 s = a + (b - a) w**2, which absorbs an inverse square root blowup at a; a
 piece that ends on a blowup of f runs on s = a + (b - a) sin(theta)**2, which
 absorbs one at each end. Its decade marks start at 1e-3 of the gap from a down
@@ -56,7 +58,7 @@ sigma * P_p tau in either order (none has P_(1/2) arcsine, so pq is 1 or 1/2):
 The rewritten kernel keeps the chain's provenance name. Every other chain
 nests: each kernel whose source carries a density adds one quadrature level
 (inner tolerance 1e-12), evaluated on demand at any depth. The inversion of a1
-reads its image the same way.
+reads its image, or the source of an a1 kernel image, the same way.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from scipy.special import ellipkm1, k0
 from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
                        PolarMeasure, RadialComponent, _on_support, _power_map_density,
-                       integrate, power_reparam, validate)
+                       integrate, power_reparam, tail, validate)
 from .quadrature import _decade_marks, _split, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
@@ -214,9 +216,9 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
                     label: Callable[[int], str]) -> np.ndarray:
     """int over s > x of f(s**(1/q)) (s - x)^(-1/2) ds for every x of xs, the
     density f read in s = r**q, solved as one batch: q = 1 for the
-    half-integral kernel and for an a1 image read through its power-1
-    sibling, q = 2 for the inversion of any other image. The range, its
-    truncation, the blowups and the kinks all come from f.
+    half-integral kernel, q = 2 for the inversion of an image that is no a1
+    kernel. The range, its truncation, the blowups and the kinks all come
+    from f.
 
     An unbounded range is cut at max(2x, R**q), R certified by
     f.weighted_tail_radius(abs_tol / (q sqrt(2)), q/2 - 1): beyond 2x,
@@ -829,7 +831,9 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
     """Recover the source tails from a first-arcsine image.
 
     For each direction the candidate pre-image tail is
-        tail(u) = (1/2) * int_u^oo (s - u)^(-1/2) dens(sqrt(s)) ds.
+        tail(u) = (1/2) * int_u^oo (s - u)^(-1/2) dens(sqrt(s)) ds,
+    which for an a1 kernel image is exactly the tail of its source, computed
+    as such.
     A genuine image produces a nonincreasing, nonnegative tail; any rise (or
     negativity) beyond MONOTONE_SLACK relative to the tail at the left edge of
     the grid raises NotInRange. Atoms in the input are rejected outright: the
@@ -843,8 +847,11 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         if dens is None:
             raise NotInRange(f"component {idx} has no density")
         us = _inversion_grid(dens, grid)
-        tails = (0.5 * _abel_integrals(*_read_in_square(dens), np.array(us), abs_tol, lambda i: (
-            f"inversion tail at u={us[i]!r} of {dens.provenance_name()}"))).tolist()
+        if isinstance(dens, _HalfIntegralKernel) and dens.power == 2.0:
+            tails = _source_tails(dens.source, np.array(us), abs_tol).tolist()
+        else:
+            tails = (0.5 * _abel_integrals(dens, 2.0, np.array(us), abs_tol, lambda i: (
+                f"inversion tail at u={us[i]!r} of {dens.provenance_name()}"))).tolist()
         t0 = max(tails[0], 0.0)
         floor = -MONOTONE_SLACK * max(t0, 1e-300)
         for j in range(len(tails)):
@@ -860,21 +867,21 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
     return TailDecomposition(m.d, tuple(comps))
 
 
-def _read_in_square(dens: Density) -> tuple[Density, float]:
-    """(f, q) with f(s**(1/q)) = dens(s**(1/2)), the image density as the
-    inversion's Abel integral reads it. An a1 kernel is its power-1 sibling
-    (same source and constant) read at s itself: the same function without
-    the sqrt-then-square round trip, with its atom blowups at loc exactly."""
-    if isinstance(dens, _HalfIntegralKernel) and dens.power == 2.0:
-        return _HalfIntegralKernel(dens.source, dens.name, 1.0, dens.const), 1.0
-    return dens, 2.0
+def _source_tails(src: RadialComponent, us: np.ndarray, abs_tol: float) -> np.ndarray:
+    """The inversion of an a1 image of src: the two half-order integrals
+    compose to a full one, so the recovered tails are src's own. A point
+    within 1e-12 (relative) below an atom reads the tail from above, as the
+    Abel route does."""
+    for loc, _ in src.atoms:
+        us = np.where((us < loc) & (loc - us <= 1e-12 * loc), loc, us)
+    return tail(src, us, abs_tol=abs_tol)
 
 
 def _inversion_grid(dens: Density, grid: tuple[float, float, int] | None) -> list[float]:
     if grid is not None:
         lo, hi, n = grid
-        n = int(n)
-        if not (0.0 < lo < hi) or n < 2:
+        # the rule of levyarc invert --grid: finite 0 < LO < HI, an integer count >= 2
+        if not (0.0 < lo < hi < math.inf and isinstance(n, (int, np.integer)) and n >= 2):
             raise ValueError(f"bad inversion grid {grid}")
         return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
     # the recovered radial variable u lives on the square scale of the image

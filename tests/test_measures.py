@@ -164,6 +164,30 @@ def test_tail_nonincreasing_and_right_continuous(atoms):
         assert tail(rc, loc) == pytest.approx(tail(rc, loc * (1 + 1e-12)), abs=1e-12)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)]),
+    lambda: la.fixture_catalog()["EX1"].measure,
+    lambda: la.arcsine1(la.fixture_catalog()["EX2"].measure),
+    lambda: la.arcsine1(la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)])),
+], ids=["atoms", "EX1", "a1(EX2)", "a1(atoms)"])
+def test_tail_of_an_array_is_the_tails_alone(build):
+    # one batch with a lower end per point; each tail as the scalar call,
+    # which keeps its shared partition. Points sit on both sides of the atoms
+    # and of the image blowups at 0.5 and 2
+    rc = build().components[0][1]
+    us = np.array([[1e-3, 0.2, 0.5], [0.7, 2.0, 9.0]])
+    got = tail(rc, us)
+    assert got.shape == us.shape
+    assert got.ravel().tolist() == [tail(rc, u) for u in us.ravel().tolist()]
+
+
+@pytest.mark.parametrize("bad", [[0.5, 0.0], [0.5, -1.0], [math.nan, 0.5]])
+def test_tail_rejects_a_non_positive_or_nan_point(bad):
+    rc = la.half_line_measure(atoms=[(1.0, 0.5)]).components[0][1]
+    with pytest.raises(ValueError, match="positive"):
+        tail(rc, np.array(bad))
+
+
 # ---------------------------------------------------------------------------
 # power reparametrization
 # ---------------------------------------------------------------------------

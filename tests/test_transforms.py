@@ -12,9 +12,10 @@ from scipy.special import ellipkm1, k0
 import levyarc as la
 from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
 from levyarc.measures import DEFAULT_ABS_TOL, Density, integrate, power_reparam, validate
+from levyarc import transforms
 from levyarc.transforms import (TWO_OVER_PI, ArcsineDilationDensity, _abel_integrals,
-                                _ChainKernel, _HalfIntegralKernel, _ScaleMixtureKernel,
-                                _compose, _read_in_square)
+                                _BesselK0DilationDensity, _ChainKernel, _HalfIntegralKernel,
+                                _ScaleMixtureKernel, _compose)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -972,8 +973,8 @@ def test_abel_outputs_keep_relative_accuracy_below_the_absolute_tolerance(build,
 
 
 def test_nested_inversion_read_budget(ex1_measure):
-    # a1(EX1) read through its inversion is an Abel integral of an Abel
-    # integral: every outer node pays for a whole inner integral
+    # the inversion of a1(EX1) reads EX1 at the nodes of one tail integral per
+    # point, with no inner integral per node
     reads = []
 
     class Counting(la.ExpPowerDensity):
@@ -1007,13 +1008,52 @@ def test_abel_marks_do_not_depend_on_the_batch(build):
 
 
 def test_inversion_tails_do_not_depend_on_the_grid(ex1_measure):
-    img = la.arcsine1(ex1_measure)
-    table = la.invert_arcsine1(img, (2e-3, 50.0, 4)).components[0][2]
-    f, q = _read_in_square(_density(img))
-    assert q == 1.0  # the a1 image is read through its power-1 sibling
+    # the Abel route: the K0 closed form of a1(EX1) is no a1 kernel, and each
+    # tail equals the Abel integral at its point alone
+    k0_image = la.half_line_measure(density=_BesselK0DilationDensity(math.pi / 2.0, 1.0))
+    table = la.invert_arcsine1(k0_image, (2e-3, 50.0, 4)).components[0][2]
     for u, t in zip(table.us, table.tails):
-        alone = 0.5 * _abel_integrals(f, q, np.array([u]), DEFAULT_ABS_TOL, str)
+        alone = 0.5 * _abel_integrals(_density(k0_image), 2.0, np.array([u]), DEFAULT_ABS_TOL, str)
         assert alone.tolist() == [t], u
+    # the fold: each tail of the a1 kernel image equals its source's tail alone
+    table = la.invert_arcsine1(la.arcsine1(ex1_measure), (2e-3, 50.0, 4)).components[0][2]
+    for u, t in zip(table.us, table.tails):
+        assert la.tail(ex1_measure.components[0][1], u) == t, u
+
+
+@pytest.mark.parametrize("source", [
+    lambda: la.half_line_measure(atoms=[(1.0, 1.0)]),
+    lambda: la.half_line_measure(atoms=[(2.0, 1.0), (0.5, 1.0)]),
+    lambda: la.fixture_catalog()["EX1"].measure,
+    lambda: la.half_line_measure(atoms=[(1.0, 0.5)], density=la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0)),
+    lambda: la.arcsine1(la.fixture_catalog()["EX2"].measure),
+], ids=["delta1", "two atoms", "EX1", "atom plus density", "a1(EX2)"])
+def test_inverting_an_a1_image_reads_its_source_tails(source, monkeypatch):
+    # A1 and its inverse are both half-order integrals, which compose to a
+    # full one: the inversion of an a1 kernel image runs no Abel integral
+    # over the image or its source (a1(EX2) still reads its own kernel over
+    # EX2) and returns the source's tails bit for bit
+    src = source()
+    rc = src.components[0][1]
+    abel = transforms._abel_integrals
+
+    def kernel_reads_only(f, *args):
+        assert getattr(f, "source", None) is not rc, "the inversion ran an Abel integral"
+        return abel(f, *args)
+
+    monkeypatch.setattr(transforms, "_abel_integrals", kernel_reads_only)
+    table = la.invert_arcsine1(la.arcsine1(src), (3e-3, 7.0, 9)).components[0][2]
+    assert list(table.tails) == [la.tail(rc, u) for u in table.us]
+
+
+@pytest.mark.parametrize("grid", [
+    (1e-2, math.inf, 5), (1e-2, 4.0, 2.5), (1e-2, 4.0, 5.0), (1e-2, 4.0, 1), (math.nan, 4.0, 5),
+    (-math.inf, 4.0, 5), (0.0, 4.0, 5), (4.0, 1e-2, 5), (1e-2, math.nan, 5),
+])
+def test_inversion_grid_is_checked_as_the_cli_checks_it(delta1, grid):
+    # finite 0 < LO < HI and an integer count >= 2, as levyarc invert --grid
+    with pytest.raises(ValueError, match="bad inversion grid"):
+        la.invert_arcsine1(la.arcsine1(delta1), grid)
 
 
 def _decaying_table():
@@ -1154,12 +1194,17 @@ def test_abel_kernel_breaks_an_unbounded_piece_at_its_kinks(monkeypatch):
 
 
 def test_inverting_just_below_an_atom(two_atoms):
-    # the a1 image is inverted through its power-1 sibling at s, so loc - s
-    # carries no rounding from a square root squared back
+    # the a1 image is inverted by its source's tails, atoms summed exactly
     img = la.arcsine1(two_atoms)
     for u in (1.996, 1.998):
         tail = la.invert_arcsine1(img, (u, 1.999, 2)).components[0][2].tails[0]
         assert abs(tail - 1.0) <= 1e-11, u
+    # within 3e-4 below an atom, where an Abel integral over the image cannot
+    # resolve loc - s from the rounded s of its integration variable
+    img = la.arcsine1(la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)]))
+    for u, want in ((1.9994, 0.7), (1.9999, 0.7), (0.4999, 1.7)):
+        tail = la.invert_arcsine1(img, (u, 1.99999, 2)).components[0][2].tails[0]
+        assert abs(tail - want) <= 1e-12, u
 
 
 def _counting_passes(monkeypatch):
