@@ -49,14 +49,13 @@ TABLE_POINTS_PER_DECADE = 512
 
 class Density:
     """Radial density on (0, oo). Subclasses fill in the metadata the
-    integration and validation machinery needs.
-
-    depth counts nested quadrature levels: 0 for closed-form families, +1 per
-    lazy transform kernel whose source itself carries a density.
+    integration and validation machinery needs. Integrals read values() on
+    arrays of nodes as they come, repeats included: a density that costs a
+    quadrature per read (the lazy transform kernels) reads each distinct
+    radius once itself.
     """
 
     support: tuple[float, float] = (0.0, math.inf)
-    depth: int = 0
 
     def value(self, r: float) -> float:
         """The density at one radius: values() at that single point, so
@@ -315,7 +314,6 @@ class PowerImageDensity(Density):
         lo, hi = self.base.support
         e = self.exponent
         object.__setattr__(self, "support", (lo ** e, hi ** e))
-        object.__setattr__(self, "depth", self.base.depth)
 
     def values(self, ss) -> np.ndarray:
         s = np.asarray(ss, float)
@@ -447,9 +445,6 @@ class RadialComponent:
             return False
         return self.atoms[-1][0] >= self.sup_support
 
-    def kernel_depth(self) -> int:
-        return self.density.depth if self.density is not None else 0
-
 
 @dataclass(frozen=True)
 class PolarMeasure:
@@ -580,11 +575,10 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
     abs_tol/10; densities without an envelope are integrated on the
     infinite interval directly.
 
-    When n > 1 and the density's depth is positive (each read runs a
-    quadrature), the density is read once per distinct node of a pass:
-    integrals that share a partition meet the same nodes. A density's value
-    at a radius must not depend on the other radii it is read with, as for
-    every built-in density, so the values are those of n separate calls.
+    Integrals that share a partition meet the same nodes, and the density
+    is read at all of them in one call. A density's value at a radius must
+    not depend on the other radii it is read with, as for every built-in
+    density, so the values are those of n separate calls.
     """
     a, b = _interval(interval)
     ks = np.arange(n)
@@ -610,8 +604,9 @@ def _interval(interval: tuple[float, float]) -> tuple[float, float]:
 def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.ndarray],
                        n: int, a, b: float, abs_tol: float,
                        g_moment: float) -> np.ndarray:
-    """The density part of integrate_batch. A scalar a gives every integral
-    one shared partition; an array of lower ends gives each its own."""
+    """The density part of integrate_batch: one quad_batch of
+    g(r, k) * dens.values(r). A scalar a gives every integral the same
+    partition; an array of lower ends gives each its own."""
     lo = np.maximum(a, dens.support[0])
     hi = min(b, dens.support[1])
     if (hi <= lo).all():
@@ -631,16 +626,7 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
         kinks = np.broadcast_to(kinks, (n, kinks.size))
     pts = np.concatenate([kinks, _decade_marks(lo, hi) if np.isfinite(hi).all() else kinks[..., :0]],
                          axis=-1)
-    if n == 1 or dens.depth == 0:
-        def f(r: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return g(r, k) * dens.values(r)
-    else:
-        # a kernel costs a quadrature per read; a closed form is cheaper to
-        # read at every node than to sort the nodes
-        def f(r: np.ndarray, k: np.ndarray) -> np.ndarray:
-            nodes, back = np.unique(r, return_inverse=True)
-            return g(r, k) * dens.values(nodes)[back]
-    return quad_batch(f, n, lo, hi,
+    return quad_batch(lambda r, k: g(r, k) * dens.values(r), n, lo, hi,
                       abs_tol=abs_tol, singular_left=sing_lo, singular_right=sing_hi,
                       points=pts, blowups=np.asarray(dens.interior_singular_radii(), float),
                       label="radial integral")

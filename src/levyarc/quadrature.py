@@ -345,39 +345,27 @@ def quad_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
     raised when it does not converge; of several failures the lowest k.
 
     Integrals go in groups of at most GROUP_CELLS initial subintervals (or
-    of one integral), built with array operations; one integral's serve all
-    when ranges, flags, points and blowups are shared. A pass bisects, in every
+    of one integral), built with array operations by _partition, which
+    takes a row of points or blowups shared by all. A pass bisects, in every
     unfinished integral, each subinterval whose error estimate exceeds the
     integral's stopping target over its number of subintervals, and
     evaluates all new halves in one call of f. No integral's result depends
     on its company.
     """
     tol = np.asarray(abs_tol, float)
-    ends = [np.asarray(a, float), np.asarray(b, float),
-            np.asarray(singular_left, bool), np.asarray(singular_right, bool)]
+    ends = [v if v.ndim else np.full(n, v) for v in (
+        np.asarray(a, float), np.asarray(b, float),
+        np.asarray(singular_left, bool), np.asarray(singular_right, bool))]
     pts, blow = (_NO_POINTS if v is None else np.asarray(v, float) for v in (points, blowups))
     result, failures = np.zeros(n), []
-    shared = pts.ndim < 2 and blow.ndim < 2 and not any(v.ndim for v in ends)
-    if shared:
-        ids, step = np.arange(n if ends[1] > ends[0] else 0), 1
-        if ids.size:
-            own1, cells1, kinds = _partition(*(v.reshape(1) for v in ends), pts, blow)
-            step = max(1, GROUP_CELLS // own1.size)
-    else:
-        ends = [v if v.ndim else np.full(n, v) for v in ends]
-        ids = (ends[1] > ends[0]).nonzero()[0]
-        # two pieces per range between blowups at most, cut at every point
-        step = max(1, GROUP_CELLS // (2 * (blow.shape[-1] + 1) * (pts.shape[-1] + 1)))
+    ids = (ends[1] > ends[0]).nonzero()[0]
+    # two pieces per range between blowups at most, cut at every point
+    step = max(1, GROUP_CELLS // (2 * (blow.shape[-1] + 1) * (pts.shape[-1] + 1)))
     for s in range(0, ids.size, step):
         rows = ids[s:s + step]
-        if not shared:
-            own, cells, kinds = _partition(*(v[rows] for v in ends),
-                                           pts[rows] if pts.ndim == 2 else pts,
-                                           blow[rows] if blow.ndim == 2 else blow)
-        elif rows.size > 1:
-            own, cells = np.repeat(np.arange(rows.size), own1.size), np.tile(cells1, rows.size)
-        else:  # _refine writes only the value and error rows of the table it gets
-            own, cells = own1, cells1
+        own, cells, kinds = _partition(*(v[rows] for v in ends),
+                                       pts[rows] if pts.ndim == 2 else pts,
+                                       blow[rows] if blow.ndim == 2 else blow)
         _refine(f, rows, own, cells, kinds, tol[rows] if tol.ndim else tol, result, failures)
     if failures:
         k, value, error = min(failures)

@@ -28,12 +28,13 @@ int f(s**(1/q)) (s - x)^(-1/2) ds, which reads a density f in s = r**q: the
 kernel reads its source with q = 1, the inversion its image with q = 2. An
 a1 kernel image never reaches it: a1 and its inverse are both half-order
 integrals, which compose to a full one, so the inversion returns the tails of
-the kernel's source, one integral per point. A finite piece (a, b) runs on
-s = a + (b - a) w**2, which absorbs an inverse square root blowup at a; a
-piece that ends on a blowup of f runs on s = a + (b - a) sin(theta)**2, which
-absorbs one at each end. Its decade marks start at 1e-3 of the gap from a down
-to the nearest point where the integrand may not be smooth, capped at
-1e-5 (b - a).
+the kernel's source, one integral per point. Nor does an a2 image, a1 of the
+squared source: its inversion returns the source's tails at sqrt(u). A finite
+piece (a, b) runs on s = a + (b - a) w**2, which absorbs an inverse square
+root blowup at a; a piece that ends on a blowup of f runs on
+s = a + (b - a) sin(theta)**2, which absorbs one at each end. Its decade
+marks start at 1e-3 of the gap from a down to the nearest point where the
+integrand may not be smooth, capped at 1e-5 (b - a).
 
 Chain rewrite: with P_p the image under r -> r**p, every op is
 Upsilon_sigma o P_p: a1 = (arcsine, 1/2), a2 = (arcsine, 1), and a scale
@@ -57,8 +58,9 @@ sigma * P_p tau in either order (none has P_(1/2) arcsine, so pq is 1 or 1/2):
 
 The rewritten kernel keeps the chain's provenance name. Every other chain
 nests: each kernel whose source carries a density adds one quadrature level
-(inner tolerance 1e-12), evaluated on demand at any depth. The inversion of a1
-reads its image, or the source of an a1 kernel image, the same way.
+(inner tolerance 1e-12), evaluated on demand at any depth, once per distinct
+radius of a read. The inversion of a1 reads its image, or the source of an a1
+or a2 kernel image, the same way.
 """
 
 from __future__ import annotations
@@ -217,8 +219,8 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     """int over s > x of f(s**(1/q)) (s - x)^(-1/2) ds for every x of xs, the
     density f read in s = r**q, solved as one batch: q = 1 for the
     half-integral kernel, q = 2 for the inversion of an image that is no a1
-    kernel. The range, its truncation, the blowups and the kinks all come
-    from f.
+    or a2 kernel. The range, its truncation, the blowups and the kinks all
+    come from f.
 
     An unbounded range is cut at max(2x, R**q), R certified by
     f.weighted_tail_radius(abs_tol / (q sqrt(2)), q/2 - 1): beyond 2x,
@@ -347,11 +349,11 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
 @dataclass(frozen=True, eq=False)
 class TransformedDensity(Density):
     """Radial density produced by a transform kernel from a source radial
-    component, evaluated by quadrature on demand. Nothing is memoized per
-    point: value(r) is values() at the single radius r.
+    component, evaluated by quadrature on demand. Nothing is memoized across
+    calls: value(r) is values() at the single radius r.
 
     The half-integral kernel and the scale-mixture kernel below subclass it
-    and supply support, depth and _exponent (the exponent at zero) as cached
+    and supply support and _exponent (the exponent at zero) as cached
     properties, computed from the source on first read, and _evaluate (on an
     array of radii inside the support), along with the Density metadata.
     name labels provenance and error messages.
@@ -362,10 +364,18 @@ class TransformedDensity(Density):
 
     def values(self, rs) -> np.ndarray:
         """The density at every radius of an array, evaluated as one batch.
-        A radius's value does not depend on the rest of the batch."""
+        A radius's value does not depend on the rest of the batch. Over a
+        source density each value costs a quadrature, so each distinct radius
+        is evaluated once."""
         r = np.asarray(rs, float)
         lo, hi = self.support
-        return _on_support(r, np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0), self._evaluate)
+        once = r.size > 1 and self.source.density is not None
+        return _on_support(r, np.isfinite(r) & (r > lo) & (r <= hi) & (r > 0.0),
+                           self._evaluate_distinct if once else self._evaluate)
+
+    def _evaluate_distinct(self, rs: np.ndarray) -> np.ndarray:
+        nodes, back = np.unique(rs, return_inverse=True)
+        return self._evaluate(nodes)[back]
 
     def exponent_at_zero(self) -> float:
         return self._exponent
@@ -415,11 +425,6 @@ class _HalfIntegralKernel(TransformedDensity):
     @cached_property
     def support(self) -> tuple[float, float]:
         return (0.0, self.source.sup_support ** (1.0 / self.power))
-
-    @cached_property
-    def depth(self) -> int:
-        src = self.source
-        return src.kernel_depth() + (1 if src.density is not None else 0)
 
     def _evaluate(self, rs: np.ndarray) -> np.ndarray:
         xs = rs ** self.power
@@ -503,14 +508,6 @@ class _ScaleMixtureKernel(TransformedDensity):
     @cached_property
     def support(self) -> tuple[float, float]:
         return (0.0, self.source.sup_support * self.dilation.sup_support)
-
-    @cached_property
-    def depth(self) -> int:
-        scaled, pair = _cross_terms(self.source, self.dilation)
-        depth = 1 + max(pair[0].depth, pair[1].depth) if pair else 0
-        for d, _ in scaled:
-            depth = max(depth, d.depth)
-        return depth
 
     def _evaluate(self, rs: np.ndarray) -> np.ndarray:
         scaled, pair = _cross_terms(self.source, self.dilation)
@@ -832,8 +829,8 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
 
     For each direction the candidate pre-image tail is
         tail(u) = (1/2) * int_u^oo (s - u)^(-1/2) dens(sqrt(s)) ds,
-    which for an a1 kernel image is exactly the tail of its source, computed
-    as such.
+    which for an a1 kernel image is exactly the tail of its source at u, and
+    for an a2 image (a1 after r -> r**2) that at sqrt(u), computed as such.
     A genuine image produces a nonincreasing, nonnegative tail; any rise (or
     negativity) beyond MONOTONE_SLACK relative to the tail at the left edge of
     the grid raises NotInRange. Atoms in the input are rejected outright: the
@@ -849,6 +846,9 @@ def invert_arcsine1(m: PolarMeasure, grid: tuple[float, float, int] | None = Non
         us = _inversion_grid(dens, grid)
         if isinstance(dens, _HalfIntegralKernel) and dens.power == 2.0:
             tails = _source_tails(dens.source, np.array(us), abs_tol).tolist()
+        elif (isinstance(dens, _ScaleMixtureKernel) and not dens.dilation.atoms
+              and isinstance(dens.dilation.density, ArcsineDilationDensity)):
+            tails = _source_tails(dens.source, np.sqrt(us), abs_tol).tolist()
         else:
             tails = (0.5 * _abel_integrals(dens, 2.0, np.array(us), abs_tol, lambda i: (
                 f"inversion tail at u={us[i]!r} of {dens.provenance_name()}"))).tolist()

@@ -391,32 +391,22 @@ def test_integrate_batch_matches_single_integrals():
         assert v == integrate(rc, lambda r: np.cos(r * z) - 1.0, (0.0, math.inf))
 
 
-class _RecordingDensity(Density):
-    """int_0^1 (1 + t) e^(-r t) dt on (0, 5] by 20-point Gauss-Legendre, so one
-    nested quadrature level; records every array of radii it is read at."""
+def test_integrate_batch_reads_the_density_once_per_distinct_node(monkeypatch):
+    # three integrals over a1(EX2) share one partition, so every pass meets
+    # repeated nodes; the kernel evaluates each distinct radius once
+    from levyarc.transforms import _HalfIntegralKernel
+    evaluate, calls = _HalfIntegralKernel._evaluate, []
 
-    support = (0.0, 5.0)
-    depth = 1
+    def recording(self, rs):
+        calls.append(rs.copy())
+        return evaluate(self, rs)
 
-    def __init__(self):
-        self.calls = []
-
-    def values(self, rs):
-        r = np.asarray(rs, float)
-        self.calls.append(r.copy())
-        t, w = np.polynomial.legendre.leggauss(20)
-        t = 0.5 * (t + 1.0)
-        return (0.5 * w * (1.0 + t) * np.exp(-np.multiply.outer(r, t))).sum(axis=-1)
-
-
-def test_integrate_batch_reads_the_density_once_per_distinct_node():
-    # three integrals share one partition, so every pass meets repeated nodes
-    dens = _RecordingDensity()
-    rc = la.RadialComponent((), dens)
+    monkeypatch.setattr(_HalfIntegralKernel, "_evaluate", recording)
+    rc = la.arcsine1(la.fixture_catalog()["EX2"].measure).components[0][1]
     scale = np.array([0.5, 1.0, 3.0])
     got = integrate_batch(rc, lambda r, k: np.cos(r * scale[k]), scale.size, (0.0, math.inf))
-    assert dens.calls
-    for r in dens.calls:
+    assert calls
+    for r in calls:
         assert np.unique(r).size == r.size
     for s, v in zip(scale, got):
         assert v == integrate(rc, lambda r: np.cos(r * s), (0.0, math.inf))

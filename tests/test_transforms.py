@@ -11,11 +11,12 @@ from scipy.special import ellipkm1, k0
 
 import levyarc as la
 from levyarc.errors import DomainError, NotInRange, QuadratureNonConvergence
-from levyarc.measures import DEFAULT_ABS_TOL, Density, integrate, power_reparam, validate
+from levyarc.measures import (DEFAULT_ABS_TOL, Density, PowerImageDensity, integrate,
+                              power_reparam, validate)
 from levyarc import transforms
 from levyarc.transforms import (TWO_OVER_PI, ArcsineDilationDensity, _abel_integrals,
                                 _BesselK0DilationDensity, _ChainKernel, _HalfIntegralKernel,
-                                _ScaleMixtureKernel, _compose)
+                                _ScaleMixtureKernel, TransformedDensity, _compose)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -103,6 +104,20 @@ def test_a2_routes_agree(delta1):
     assert isinstance(mixture, _ScaleMixtureKernel)
     for r in (0.1, 0.4, 0.8, 0.99):
         assert mixture.value(r) == pytest.approx(direct.value(r), rel=1e-9)
+
+
+def test_a2_direct_reads_the_power_image_of_an_unbounded_kernel(ex2_measure):
+    # arcsine2_direct(a1(EX2)) is a1 over P_2 of the a1 kernel, which reads
+    # the image's exponent at zero and its tail radius through the kernel's;
+    # arcsine2(a1(EX2)) folds to one scale mixture over the elliptic dilation
+    img = la.arcsine1(ex2_measure)
+    direct = _density(la.arcsine2_direct(img))
+    folded = _density(la.arcsine2(img))
+    assert isinstance(direct, _HalfIntegralKernel) and isinstance(folded, _ChainKernel)
+    assert isinstance(direct.source.density, PowerImageDensity)
+    rs = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
+    want = folded.values(rs)
+    assert np.all(np.abs(direct.values(rs) - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("table, rs, rel", [
@@ -423,7 +438,11 @@ def test_depth3_chain_is_read_lazily(ex2_measure):
     # so the integral is cut at t = 240, below 1e-20 of the value
     mpmath = pytest.importorskip("mpmath")
     d = _density(la.arcsine1(la.arcsine1(la.arcsine1(ex2_measure))))
-    assert isinstance(d, _HalfIntegralKernel) and d.depth == 3
+    inner = d
+    for _ in range(3):
+        assert isinstance(inner, _HalfIntegralKernel)
+        inner = inner.source.density
+    assert not isinstance(inner, TransformedDensity)
     rs = (0.3, 1.0)
     got = d.values(np.array(rs))
     with mpmath.workdps(20):
@@ -764,7 +783,7 @@ def test_chain_rewrite_matches_nested_kernels(case, source):
     rc = _chain_sources()[source]
     got = _density(build(la.PolarMeasure(1, ((la.Direction((1.0,)), rc),))))
     want = nested(rc)
-    assert isinstance(got, _ChainKernel) and got.depth == 1
+    assert isinstance(got, _ChainKernel) and not isinstance(got.source.density, TransformedDensity)
     assert got.provenance_name() == want.provenance_name()
     rs = np.array(RADII)
     assert np.max(np.abs(got.values(rs) / want.values(rs) - 1.0)) <= 1e-10
@@ -1121,6 +1140,27 @@ def test_abel_kernels_next_to_a_blowup_are_right_or_raise():
     assert raised <= 22
 
 
+def test_abel_batch_of_sine_and_square_pieces(monkeypatch):
+    # the outer half-order integral of frac_half(frac_half(rc)) reads the inner
+    # image, which blows up at the atom at 1: pieces that end there take the
+    # sine map and the rest the square map, in one quad_batch call. Two
+    # half-order integrals compose to the full one, so the result is rc's tail
+    rc = la.RadialComponent(((1.0, 1.0),), la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0))
+    d = la.frac_half(la.frac_half(rc)).density
+    quad_batch, integrands = transforms.quad_batch, []
+
+    def recording(f, *args, **kw):
+        integrands.append(f.__name__)
+        return quad_batch(f, *args, **kw)
+
+    monkeypatch.setattr(transforms, "quad_batch", recording)
+    xs = np.array([0.05, 0.3, 0.9, 0.999, 1.001, 1.5, 3.0])
+    got = d.values(xs)
+    assert "mixed" in integrands
+    want = la.tail(rc, xs)
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
 def _exact_abel_of_table(xs, ys, x):
     """int_x^oo (s - x)^(-1/2) table(s) ds, piece by piece in closed form at
     30 digits: on a piece alpha + beta s, with d = s - x, it is
@@ -1200,11 +1240,24 @@ def test_inverting_just_below_an_atom(two_atoms):
         tail = la.invert_arcsine1(img, (u, 1.999, 2)).components[0][2].tails[0]
         assert abs(tail - 1.0) <= 1e-11, u
     # within 3e-4 below an atom, where an Abel integral over the image cannot
-    # resolve loc - s from the rounded s of its integration variable
-    img = la.arcsine1(la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)]))
-    for u, want in ((1.9994, 0.7), (1.9999, 0.7), (0.4999, 1.7)):
-        tail = la.invert_arcsine1(img, (u, 1.99999, 2)).components[0][2].tails[0]
-        assert abs(tail - want) <= 1e-12, u
+    # resolve loc - s from the rounded s of its integration variable. The a2
+    # image of the atoms' square roots is the same measure: a2 = a1 o P_2, so
+    # it inverts to its source's tails at sqrt(u)
+    for img in (la.arcsine1(la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)])),
+                la.arcsine2(la.half_line_measure(atoms=[(math.sqrt(0.5), 1.0), (math.sqrt(2.0), 0.7)]))):
+        for u, want in ((1.9994, 0.7), (1.9999, 0.7), (0.4999, 1.7)):
+            tail = la.invert_arcsine1(img, (u, 1.99999, 2)).components[0][2].tails[0]
+            assert abs(tail - want) <= 1e-12, u
+
+
+@pytest.mark.parametrize("atoms", [(), ((1.5, 0.5),)], ids=["EX2", "atom + EX2"])
+def test_inverting_an_a2_image_matches_the_abel_route(atoms):
+    # the fold reads the source; the Abel route reads the image itself
+    img = la.arcsine2(la.half_line_measure(atoms=atoms, density=la.ex2_input_density()))
+    table = la.invert_arcsine1(img, (1e-2, 4.0, 9)).components[0][2]
+    us = np.array(table.us)
+    want = 0.5 * _abel_integrals(_density(img), 2.0, us, 1e-10, str)
+    assert np.all(np.abs(np.array(table.tails) - want) <= 1e-12 * want)
 
 
 def _counting_passes(monkeypatch):
