@@ -49,7 +49,8 @@ TABLE_POINTS_PER_DECADE = 512
 
 class Density:
     """Radial density on (0, oo). Subclasses fill in the metadata the
-    integration and validation machinery needs. Integrals read values() on
+    integration and validation machinery needs, such as blowups() and
+    kinks(). Integrals read values() on
     arrays of nodes as they come, repeats included: a density that costs a
     quadrature per read (the lazy transform kernels) reads each distinct
     radius once itself.
@@ -81,21 +82,15 @@ class Density:
         Only meaningful when the support starts at 0; a logarithmic factor on
         top of r**e is ignored (it never flips the strict integrability
         inequalities used by validate), so a log blowup has exponent 0 and
-        is declared by singular_at_low instead."""
+        is declared by blowups() instead."""
         return 0.0
 
-    def singular_at_low(self) -> bool:
-        """True when the density blows up (integrably) as r -> 0+, log
-        blowups of exponent 0 included; integrals whose range starts at 0
-        then map their first piece by r = t**2."""
-        return False
-
-    def singular_at_high(self) -> bool:
-        return False
-
-    def interior_singular_radii(self) -> tuple[float, ...]:
-        """Radii strictly inside the support where the density blows up
-        (integrably). Integration routines split or anchor points there."""
+    def blowups(self) -> tuple[float, ...]:
+        """The radii of the closed support where the density blows up
+        (integrably), in increasing order: 0 when it does as r -> 0+ (log
+        blowups of exponent 0 included), the supremum when it does there,
+        and every radius in between. Every integral against the density is
+        cut at those inside its range and maps the ends that sit on one."""
         return ()
 
     def kinks(self) -> tuple[float, ...]:
@@ -196,8 +191,8 @@ class ExpPowerDensity(Density):
     def exponent_at_zero(self) -> float:
         return self.a
 
-    def singular_at_low(self) -> bool:
-        return self.support[0] == 0.0 and self.a < 0.0
+    def blowups(self) -> tuple[float, ...]:
+        return (0.0,) if self.support[0] == 0.0 and self.a < 0.0 else ()
 
     def tail_all_moments(self) -> bool:
         return math.isfinite(self.support[1]) or self.b > 0.0
@@ -329,11 +324,11 @@ class PowerImageDensity(Density):
         a = self.base.exponent_at_zero()
         return (a - 1.0) / 2.0 if self.exponent == 2.0 else 2.0 * a + 1.0
 
-    def singular_at_low(self) -> bool:
-        return self.support[0] == 0.0 and self.exponent_at_zero() < 0.0
-
-    def singular_at_high(self) -> bool:
-        return self.base.singular_at_high()
+    def blowups(self) -> tuple[float, ...]:
+        """The base's blowups mapped, but at 0, where the image blows up
+        when its own exponent is negative."""
+        low = (0.0,) if self.support[0] == 0.0 and self.exponent_at_zero() < 0.0 else ()
+        return low + tuple(x ** self.exponent for x in self.base.blowups() if x > 0.0)
 
     def kinks(self) -> tuple[float, ...]:
         return tuple(x ** self.exponent for x in self.base.kinks())
@@ -439,11 +434,6 @@ class RadialComponent:
         if self.density is not None:
             hi = max(hi, self.density.support[1])
         return hi
-
-    def atom_at_sup(self) -> bool:
-        if not self.atoms:
-            return False
-        return self.atoms[-1][0] >= self.sup_support
 
 
 @dataclass(frozen=True)
@@ -617,8 +607,6 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
                 hi = np.maximum(lo * (1.0 + 1e-12), dens.weighted_tail_radius(abs_tol / 10.0, g_moment))
             except NotImplementedError:
                 pass
-    sing_lo = dens.singular_at_low() & (lo <= dens.support[0])
-    sing_hi = (dens.singular_at_high() and math.isfinite(dens.support[1])) & (hi >= dens.support[1])
     # break points: the density's kinks (a row per lower end) and, over a
     # long finite range, one mark per decade
     kinks = np.asarray(dens.kinks(), float)
@@ -626,10 +614,9 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
         kinks = np.broadcast_to(kinks, (n, kinks.size))
     pts = np.concatenate([kinks, _decade_marks(lo, hi) if np.isfinite(hi).all() else kinks[..., :0]],
                          axis=-1)
-    return quad_batch(lambda r, k: g(r, k) * dens.values(r), n, lo, hi,
-                      abs_tol=abs_tol, singular_left=sing_lo, singular_right=sing_hi,
-                      points=pts, blowups=np.asarray(dens.interior_singular_radii(), float),
-                      label="radial integral")
+    return quad_batch(lambda r, k: g(r, k) * dens.values(r), n, lo, hi, abs_tol=abs_tol,
+                      points=pts, blowups=np.asarray(dens.blowups(), float),
+                      label=lambda k: f"radial integral of {dens.provenance_name()}")
 
 
 def tail(rc: RadialComponent, u, *, abs_tol: float = DEFAULT_ABS_TOL):

@@ -22,15 +22,17 @@ _pieces():
 
 Both apply the manipulations that recur throughout this package:
 
-* integrable inverse-square-root endpoint singularities, removed by the
-  substitution u = a + w**2 (or u = b - w**2 at the upper end), which turns
-  a (u-a)**(-1/2) blowup into a bounded smooth integrand. On a finite range
-  the substitution covers only the half next to the blowup and the other
-  half stays in u: b - w**2 resolves u near a only to the absolute rounding
-  of b, which loses an integrand whose mass sits at u << b;
+* integrable inverse-square-root blowups, removed by the substitution
+  u = a + w**2 (or u = b - w**2 at the upper end), which turns a
+  (u-a)**(-1/2) blowup into a bounded smooth integrand. adaptive_quad takes
+  a flag per end; the engine a list of blowups, which _cut turns into cuts
+  and mapped ends. On a finite range the substitution covers only the half
+  next to the blowup and the other half stays in u: b - w**2 resolves u
+  near a only to the absolute rounding of b, which loses an integrand whose
+  mass sits at u << b;
 
-* break points (kinks, blowups, decade marks), mapped through the
-  substitution in force, so every subinterval starts out smooth;
+* break points (kinks, decade marks), mapped through the substitution in
+  force, so every subinterval starts out smooth;
 
 * infinite upper limits, either truncated beforehand at a radius certified
   by the caller's envelope metadata or mapped to a finite range, by
@@ -136,9 +138,40 @@ def _split(lo: np.ndarray, hi: np.ndarray, inner: np.ndarray) -> tuple[np.ndarra
     return valid.nonzero()[0], edges[:, :-1][valid], edges[:, 1:][valid]
 
 
-def _pieces(a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
-            singular_right: np.ndarray, blowups: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The pieces of the integrals over (a[i], b[i]), in order: the row i,
+def _cut(a: np.ndarray, b: np.ndarray, blowups: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ranges (a[i], b[i]) cut at the blowups (one row shared by all, or
+    a NaN-padded row each, in any order): the row i and ends lo and hi of
+    every subrange, in order, and whether a blowup sits at lo and at hi.
+    A blowup within 1e-12 (relative) of a range's end maps that end and
+    makes no cut, and so does one within 1e-12 of the cut before it."""
+    row, no = np.arange(a.size), np.zeros(a.size, bool)
+    if not blowups.shape[-1]:
+        return row, a, b, no, no
+    tol = 1e-12 * np.abs(blowups)
+    above, below = blowups - a[:, None], b[:, None] - blowups
+    left = (np.abs(above) <= tol).any(axis=1)
+    right = (np.abs(below) <= tol).any(axis=1)
+    inside = np.minimum(above, below) > tol
+    if not np.count_nonzero(inside):
+        return row, a, b, left, right
+    c = np.sort(np.where(inside, blowups, np.nan), axis=1)  # NaN sorts last
+    cuts, last = np.full(c.shape, np.nan), a
+    for j in range(c.shape[1]):
+        keep = c[:, j] - last > 1e-12 * np.abs(c[:, j])
+        cuts[keep, j] = c[keep, j]
+        last = np.where(keep, c[:, j], last)
+    row, lo, hi = _split(a, b, cuts)
+    # a subrange after the first starts, one before the last ends, at a cut
+    left, right, same = left[row], right[row], row[1:] == row[:-1]
+    left[1:] |= same
+    right[:-1] |= same
+    return row, lo, hi, left, right
+
+
+def _pieces(row: np.ndarray, a: np.ndarray, b: np.ndarray, sl: np.ndarray,
+            sr: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pieces of the ranges (a[i], b[i]) of rows row[i], blown up at a
+    where sl and at b where sr (as _cut returns them), in order: the row,
     kind, anchor and ends lo and hi in the piece variable t of each:
 
     _PLAIN  x = t on (a, b);
@@ -147,27 +180,10 @@ def _pieces(a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
     _INF    x = anchor + t/(1 - t) in the engine; lo and hi stay in x
             (hi = inf) and QUADPACK maps the range itself.
 
-    A finite range with a blowup at either end splits at its midpoint m,
-    an unbounded one at m = a + max(1, |a|); only a half next to a blowup is
-    mapped. Blowups (a row shared by all, or a NaN-padded row each) cut the
-    ranges first, bar one within 1e-12 of the cut before."""
-    sl, sr, inf = singular_left, singular_right, np.isinf(b)
-    if np.count_nonzero(sr & inf):
-        raise ValueError("cannot have a right singularity at an infinite endpoint")
-    row = np.arange(a.size)
-    if blowups.size:
-        c = np.broadcast_to(np.sort(blowups, axis=-1), (a.size, blowups.shape[-1]))
-        inside = (a[:, None] < c) & (c < b[:, None])
-        cuts, last = np.full(c.shape, np.nan), np.full(a.size, np.nan)
-        for j in range(c.shape[1]):
-            keep = inside[:, j] & ~(c[:, j] - last <= 1e-12 * c[:, j])
-            cuts[keep, j] = c[keep, j]
-            last = np.where(keep, c[:, j], last)
-        row, a, b = _split(a, b, cuts)
-        # a subrange after the first starts, one before the last ends, at a cut
-        inf, sl, sr, same = np.isinf(b), sl[row], sr[row], row[1:] == row[:-1]
-        sl[1:] |= same
-        sr[:-1] |= same
+    A finite range with a blowup at either end splits at its midpoint m, an
+    unbounded one at m = a + max(1, |a|); only a half next to a blowup is
+    mapped."""
+    inf = np.isinf(b)
     if not np.count_nonzero(sl | sr):
         return row, inf * float(_INF), a, a, b
     # the map stops at the midpoint: b - t**2 resolves x near a only to the
@@ -196,13 +212,12 @@ def _piece_points(kind: np.ndarray, anchor: np.ndarray, lo: np.ndarray,
     return np.where((t > lo[:, None]) & (t < hi[:, None]), t, np.nan)
 
 
-def _partition(a: np.ndarray, b: np.ndarray, singular_left: np.ndarray,
-               singular_right: np.ndarray, points: np.ndarray,
+def _partition(a: np.ndarray, b: np.ndarray, points: np.ndarray,
                blowups: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Initial cells of the integrals over (a[i], b[i]): the row of each,
     the cell table (value and error rows unset) and the piece kinds present.
     _INF cells map to d/(1 + d), d = x - anchor (inf clamps to 1)."""
-    row, kind, anchor, lo, hi = _pieces(a, b, singular_left, singular_right, blowups)
+    row, kind, anchor, lo, hi = _pieces(*_cut(a, b, blowups))
     if points.shape[-1]:
         piece, lo, hi = _split(lo, hi, _piece_points(
             kind, anchor, lo, hi, points[row] if points.ndim == 2 else points))
@@ -261,9 +276,11 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, *,
     """
     if not (b > a):
         return 0.0
-    _, kinds, anchors, los, his = _pieces(
-        np.array([a], float), np.array([b], float), np.array([singular_left], bool),
-        np.array([singular_right], bool), _NO_POINTS)
+    if singular_right and math.isinf(b):
+        raise ValueError("cannot have a right singularity at an infinite endpoint")
+    _, kinds, anchors, los, his = _pieces(np.zeros(1, int), np.array([a], float),
+                                          np.array([b], float), np.array([singular_left]),
+                                          np.array([singular_right]))
     inner = _piece_points(kinds, anchors, los, his,
                           np.asarray(points if points is not None else (), float))
     total = 0.0
@@ -331,18 +348,18 @@ def _gk21(f, key: np.ndarray, cells: np.ndarray, kinds: list[int]) -> tuple[np.n
 
 def quad_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
                a, b, *, abs_tol=DEFAULT_ABS_TOL,
-               singular_left=False, singular_right=False,
                points: np.ndarray | None = None, blowups: np.ndarray | None = None,
                label: str | Callable[[int], str] = "integral") -> np.ndarray:
     """The n integrals of x -> f(x, k) over (a[k], b[k]), k = 0..n-1.
 
     f takes an array of abscissae and the equally long array of integral
-    indices they belong to. a, b (possibly inf), abs_tol and the singular
-    flags are scalars or length-n arrays. points (break points) and blowups
-    (integrable interior blowups) are each one 1-D array shared by every
-    integral, or an (n, P) array with row k for integral k, padded with NaN.
-    label names integral k, as a string or a function of k, in the error
-    raised when it does not converge; of several failures the lowest k.
+    indices they belong to. a, b (possibly inf) and abs_tol are scalars or
+    length-n arrays. points (break points) and blowups (integrable blowups,
+    ends included: _cut cuts a range at those inside it and maps the ends
+    that sit on one) are each one 1-D array shared by every integral, or an
+    (n, P) array with row k for integral k, padded with NaN. label names
+    integral k, as a string or a function of k, in the error raised when it
+    does not converge; of several failures the lowest k.
 
     Integrals go in groups of at most GROUP_CELLS initial subintervals (or
     of one integral), built with array operations by _partition, which
@@ -353,27 +370,24 @@ def quad_batch(f: Callable[[np.ndarray, np.ndarray], np.ndarray], n: int,
     on its company.
     """
     tol = np.asarray(abs_tol, float)
-    ends = [v if v.ndim else np.full(n, v) for v in (
-        np.asarray(a, float), np.asarray(b, float),
-        np.asarray(singular_left, bool), np.asarray(singular_right, bool))]
+    a, b = (v if v.ndim else np.full(n, v) for v in (np.asarray(a, float), np.asarray(b, float)))
     pts, blow = (_NO_POINTS if v is None else np.asarray(v, float) for v in (points, blowups))
     result, failures = np.zeros(n), []
-    ids = (ends[1] > ends[0]).nonzero()[0]
+    ids = (b > a).nonzero()[0]
     # two pieces per range between blowups at most, cut at every point
     step = max(1, GROUP_CELLS // (2 * (blow.shape[-1] + 1) * (pts.shape[-1] + 1)))
     for s in range(0, ids.size, step):
         rows = ids[s:s + step]
-        own, cells, kinds = _partition(*(v[rows] for v in ends),
-                                       pts[rows] if pts.ndim == 2 else pts,
+        own, cells, kinds = _partition(a[rows], b[rows], pts[rows] if pts.ndim == 2 else pts,
                                        blow[rows] if blow.ndim == 2 else blow)
         _refine(f, rows, own, cells, kinds, tol[rows] if tol.ndim else tol, result, failures)
     if failures:
         k, value, error = min(failures)
         name = label(k) if callable(label) else label
-        lo, hi, tk = (float(np.broadcast_to(v, (n,))[k]) for v in (ends[0], ends[1], tol))
         raise QuadratureNonConvergence(
-            f"{name}: error estimate {error:.3e} exceeds tolerance {tk:.3e} "
-            f"on [{lo:g}, {hi:g}]", partial=value, bound=error)
+            f"{name}: error estimate {error:.3e} exceeds tolerance "
+            f"{float(np.broadcast_to(tol, (n,))[k]):.3e} on [{a[k]:g}, {b[k]:g}]",
+            partial=value, bound=error)
     return result
 
 

@@ -29,10 +29,12 @@ kernel reads its source with q = 1, the inversion its image with q = 2. An
 a1 kernel image never reaches it: a1 and its inverse are both half-order
 integrals, which compose to a full one, so the inversion returns the tails of
 the kernel's source, one integral per point. Nor does an a2 image, a1 of the
-squared source: its inversion returns the source's tails at sqrt(u). A finite
-piece (a, b) runs on s = a + (b - a) w**2, which absorbs an inverse square
-root blowup at a; a piece that ends on a blowup of f runs on
-s = a + (b - a) sin(theta)**2, which absorbs one at each end. Its decade
+squared source: its inversion returns the source's tails at sqrt(u). The
+evaluator cuts its range where f blows up, by the rule quad_batch applies to
+every integral (quadrature._cut). A finite piece (a, b) runs on
+s = a + (b - a) w**2, which absorbs an inverse square root blowup at a; a
+piece that ends on a blowup of f runs on s = a + (b - a) sin(theta)**2, which
+absorbs one at each end. Its decade
 marks start at 1e-3 of the gap from a down to the nearest point where the
 integrand may not be smooth, capped at 1e-5 (b - a).
 
@@ -56,6 +58,9 @@ sigma * P_p tau in either order (none has P_(1/2) arcsine, so pq is 1 or 1/2):
 * arcsine * c e^(-b u) du = (2c/pi) K0(b v) dv;
 * arcsine * arcsine = (2/pi)^2 K(1 - v^2) dv on (0, 1).
 
+Every density declares where it blows up in one list, Density.blowups(),
+which the kernels hand to quad_batch (scaled into u for the scale mixture).
+
 The rewritten kernel keeps the chain's provenance name. Every other chain
 nests: each kernel whose source carries a density adds one quadrature level
 (inner tolerance 1e-12), evaluated on demand at any depth, once per distinct
@@ -77,7 +82,7 @@ from .errors import DomainError, NotInRange, RangeError
 from .measures import (DEFAULT_ABS_TOL, Density, Direction, ExpPowerDensity,
                        PolarMeasure, RadialComponent, _on_support, _power_map_density,
                        integrate, power_reparam, tail, validate)
-from .quadrature import _decade_marks, _split, quad_batch
+from .quadrature import _cut, _decade_marks, quad_batch
 
 # a dilation measure is structurally a radial component: atoms plus a density
 # on (0, oo), total mass finite near infinity and integrating u^2 near zero.
@@ -108,8 +113,8 @@ class ArcsineDilationDensity(Density):
         w = (1.0 - u) * (1.0 + u)
         return np.divide(TWO_OVER_PI, np.sqrt(w, out=w), out=w)
 
-    def singular_at_high(self) -> bool:
-        return True
+    def blowups(self) -> tuple[float, ...]:
+        return (1.0,)
 
     def tail_all_moments(self) -> bool:
         return True
@@ -151,8 +156,8 @@ class _BesselK0DilationDensity(Density):
         return _on_support(v, (v > 0.0) & np.isfinite(v),
                            lambda w: (TWO_OVER_PI * self.c) * k0(self.b * w))
 
-    def singular_at_low(self) -> bool:
-        return True
+    def blowups(self) -> tuple[float, ...]:
+        return (0.0,)
 
     def tail_all_moments(self) -> bool:
         return True
@@ -189,8 +194,8 @@ class _EllipticDilationDensity(Density):
         kv[small] = np.log(4.0 / v[small])
         return (TWO_OVER_PI * TWO_OVER_PI) * kv
 
-    def singular_at_low(self) -> bool:
-        return True
+    def blowups(self) -> tuple[float, ...]:
+        return (0.0,)
 
     def provenance_name(self) -> str:
         return "elliptic_dilation"
@@ -225,11 +230,12 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     An unbounded range is cut at max(2x, R**q), R certified by
     f.weighted_tail_radius(abs_tol / (q sqrt(2)), q/2 - 1): beyond 2x,
     (s - x)^(-1/2) <= sqrt(2) s^(-1/2), so after s = r**q the dropped tail is
-    at most abs_tol. The range is split at every blowup of f. A finite piece
-    (a, b) runs on the square map s = a + (b - a) w^2, w in (0, 1), which
-    absorbs an inverse square root blowup at a, the s = x anchor included
-    when a == x. A piece that ends on a blowup (a cut, or the support's end
-    where f.singular_at_high()) runs on the sine map
+    at most abs_tol. The range is cut at the blowups of f (f.blowups()) by
+    quad_batch's rule, quadrature._cut. A finite piece (a, b) runs on the
+    square map s = a + (b - a) w^2, w in (0, 1), which absorbs an inverse
+    square root blowup at a, the s = x anchor included when a == x. A piece
+    that ends on a blowup (a cut, or an end _cut finds one at) runs on the
+    sine map
     s = a + (b - a) sin^2(theta), theta in (0, pi/2), which absorbs one at
     both edges: there (s - a)^(-1/2) (b - s)^(-1/2) is exactly constant, so
     the engine never refines into the rounding of b - s. Either way the
@@ -238,7 +244,9 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     decade of (s - a)/(b - a) from the piece's own scale up (see the comment
     at the marks) are break points, mapped by w = ((s - a)/(b - a))^(1/2)
     (theta = arcsin w). label(i) names the integral at xs[i]."""
-    step = max(1, BREAK_POINT_BUDGET // (len(f.interior_singular_radii()) + 1) // (len(f.kinks()) + 11))
+    # f's blowups in s, but one at its low end: that sits at or below every start
+    blowups = np.array([rho ** q for rho in f.blowups() if rho > f.support[0]])
+    step = max(1, BREAK_POINT_BUDGET // (blowups.size + 1) // (len(f.kinks()) + 11))
     if xs.size > step:
         return np.concatenate([_abel_integrals(f, q, xs[s:s + step], abs_tol,
                                                lambda i, s=s: label(s + i))
@@ -252,24 +260,14 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
         except NotImplementedError:
             pass
     g = f.values if q == 1.0 else lambda s: f.values(s ** (1.0 / q))
-    blowups = sorted({rho ** q for rho in f.interior_singular_radii()})
     knots = np.asarray(f.kinks(), float) ** q
     starts = np.maximum(xs, lo)
     rows = np.flatnonzero(his > starts)
     if not rows.size:
         return np.zeros(xs.shape)
-    starts, his = starts[rows], his[rows]
-    # cut at the blowups but those within 1e-12 of a finite end, of the cut
-    # before, or of the start (x sits at the blowup to machine resolution:
-    # g is unresolvable on the sliver, so read the integral from above)
-    cuts = np.full((rows.size, len(blowups)), np.nan)
-    last = starts
-    for j, c in enumerate(blowups):
-        keep = ((starts < c) & (c < his) & (c - last > 1e-12 * c)
-                & ~(np.isfinite(his) & (his - c <= 1e-12 * his)))
-        cuts[keep, j] = c
-        last = np.where(keep, c, last)
-    piece, a, b = _split(starts, his, cuts)
+    # no cut within 1e-12 of x: g is unresolvable on the sliver, so the
+    # integral is read from above
+    piece, a, b, _, sine = _cut(starts[rows], his[rows], blowups)
     owner, tols = rows[piece], abs_tol / np.bincount(piece)[piece]
     x = xs[owner]
     finite = np.isfinite(b)
@@ -278,8 +276,6 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     # kinds 0, 1, 2: a finite piece on w in (0, 1), s = a + span w**2; one
     # that ends on a blowup of f on theta in (0, pi/2), w = sin(theta); an
     # unbounded piece on (a, oo)
-    blown = np.array(blowups + ([hi] if math.isfinite(hi) and f.singular_at_high() else []))
-    sine = finite & (np.abs(b[:, None] - blown) <= 1e-12 * b[:, None]).any(axis=1)
     kind = np.where(finite, sine.view(np.int8), 2)
     # a finite piece's break points, mapped, are the kinks inside it and the
     # marks rel0 * 10**k below 1 of (s - a)/span. The integrand is smooth on
@@ -336,9 +332,11 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
         return out
 
     integrand = maps[present[0]] if len(present) == 1 else mixed
+    # an unbounded piece starts at x or at a blowup of f
     vals = quad_batch(integrand, owner.size, np.where(finite, 0.0, a),
                       np.where(sine, 0.5 * math.pi, np.where(finite, 1.0, b)), abs_tol=tols,
-                      singular_left=~finite, points=points, label=lambda k: label(owner[k]))
+                      points=points, label=lambda k: label(owner[k]),
+                      blowups=None if finite.all() else np.where(finite, np.nan, a)[:, None])
     return np.bincount(owner, vals, xs.size)
 
 
@@ -379,9 +377,6 @@ class TransformedDensity(Density):
 
     def exponent_at_zero(self) -> float:
         return self._exponent
-
-    def singular_at_low(self) -> bool:
-        return self.exponent_at_zero() < 0.0
 
     def table_radius(self) -> float:
         try:
@@ -447,25 +442,14 @@ class _HalfIntegralKernel(TransformedDensity):
             return 0.0
         return self.power * min(f.exponent_at_zero() + 0.5, 0.0)
 
-    def singular_at_low(self) -> bool:
-        """Beyond a negative exponent: a source density s^(-1/2) at 0 leaves
-        the log blowup of exponent 0 (a1(EX1) = K0)."""
+    def blowups(self) -> tuple[float, ...]:
+        """Each source atom leaves an inverse-square-root blowup at its image.
+        A source density leaves one at 0 at most: a negative exponent, or the
+        log blowup a density s^(-1/2) at 0 leaves (a1(EX1) = K0)."""
         f = self.source.density
-        return super().singular_at_low() or (
-            f is not None and f.support[0] == 0.0 and f.exponent_at_zero() == -0.5)
-
-    def singular_at_high(self) -> bool:
-        return self.source.atom_at_sup() and math.isfinite(self.support[1])
-
-    def interior_singular_radii(self) -> tuple[float, ...]:
-        """Each source atom leaves an inverse-square-root blowup in the image;
-        all but the one at the supremum sit strictly inside the support.
-        Densities in the source never do: smearing an atom-free or even an
-        integrably singular density through the kernel keeps the image
-        locally bounded away from the atom images."""
-        hi = self.support[1]
-        radii = {loc ** (1.0 / self.power) for loc, _ in self.source.atoms}
-        return tuple(sorted(r for r in radii if 0.0 < r < hi))
+        low = self._exponent < 0.0 or (f is not None and f.support[0] == 0.0
+                                       and f.exponent_at_zero() == -0.5)
+        return ((0.0,) if low else ()) + tuple(loc ** (1.0 / self.power) for loc, _ in self.source.atoms)
 
     def tail_all_moments(self) -> bool:
         dens = self.source.density
@@ -528,32 +512,27 @@ class _ScaleMixtureKernel(TransformedDensity):
         t_lo, t_hi = t.support
         lo_u = np.maximum(t_lo, rs / f_hi)
         hi_u = np.minimum(t_hi, rs / f_lo) if f_lo > 0.0 else np.full(rs.shape, t_hi)
-        sing_lo = (f.singular_at_high() and math.isfinite(f_hi)) & (lo_u <= (rs / f_hi) * (1 + 1e-12))
-        sing_hi = (t.singular_at_high() and math.isfinite(t_hi)) & (hi_u >= t_hi)
-        if f_lo > 0.0 and f.singular_at_low():
-            sing_hi |= np.isfinite(hi_u) & (hi_u >= (rs / f_lo) * (1 - 1e-12))
         # the integrand is a bump in log u around u ~ r, so the range starts
         # out cut at every decade from r * 1e-3 (or 1e-12 of the top, if
         # lower) to the top: the upper limit, or for an unbounded range,
         # which quad_batch maps whole, the larger of r and the dilation's
-        # table radius. The source's kinks x_k > 0 are met at u = r/x_k, the
-        # dilation's at their own radii
+        # table radius; none in the upper half, which quad_batch maps by
+        # u = hi - w**2 when a blowup sits at hi (a mark there stalls on the
+        # rounding of hi - u). The source's kinks x_k > 0 are met at u = r/x_k,
+        # the dilation's at their own radii
         tops = np.maximum(t.table_radius(), rs) if np.isinf(hi_u).any() else hi_u
-        marks = _decade_marks(lo_u, tops, np.minimum(tops * 1e-12, rs * 1e-3))
-        if np.count_nonzero(sing_hi):
-            # quad_batch maps the upper half by u = hi - w**2, where a mark
-            # stalls on the rounding of hi - u
-            marks[sing_hi[:, None] & ~(marks < 0.5 * (lo_u + tops)[:, None])] = np.nan
-        points, blowups = marks, None
+        points = marks = _decade_marks(lo_u, tops, np.minimum(tops * 1e-12, rs * 1e-3))
+        marks[~(marks < 0.5 * (lo_u + tops)[:, None])] = np.nan
         knots, t_kinks = np.asarray(f.kinks(), float), np.asarray(t.kinks(), float)
         if knots.size or t_kinks.size:
             points = np.concatenate([rs[:, None] / knots[knots > 0.0],
                                      np.zeros((rs.size, 1)) + t_kinks, marks], axis=1)
-        # the source's blowups at rho meet it at u = r/rho, the dilation's at
-        # its own radii
-        f_blow, t_blow = np.asarray(f.interior_singular_radii(), float), t.interior_singular_radii()
-        if f_blow.size or t_blow:
-            blowups = np.concatenate([np.zeros((rs.size, 1)) + t_blow, rs[:, None] / f_blow], axis=1)
+        # the dilation's blowups above 0 sit at their own radii, and the
+        # source's at rho > 0 meet it at u = r/rho
+        blowups = np.array([u for u in t.blowups() if u > 0.0])
+        f_blow = np.array([rho for rho in f.blowups() if rho > 0.0])
+        if f_blow.size:
+            blowups = np.concatenate([np.zeros((rs.size, 1)) + blowups, rs[:, None] / f_blow], axis=1)
 
         def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
             out = f.values(rs[k] / u) * t.values(u)
@@ -561,8 +540,7 @@ class _ScaleMixtureKernel(TransformedDensity):
             return out
 
         return quad_batch(integrand, rs.size, lo_u, hi_u, abs_tol=INNER_ABS_TOL,
-                          singular_left=sing_lo, singular_right=sing_hi, points=points,
-                          blowups=blowups,
+                          points=points, blowups=blowups,
                           label=lambda k: f"{self.name} kernel at r={float(rs[k])!r}")
 
     def _densities(self) -> list[Density]:
@@ -576,33 +554,17 @@ class _ScaleMixtureKernel(TransformedDensity):
         exps = [d.exponent_at_zero() if d.support[0] == 0.0 else 0.0 for d in self._densities()]
         return min(exps) if exps else 0.0
 
-    def singular_at_low(self) -> bool:
-        """Beyond a negative exponent: any cross term with a source or
-        dilation density singular at 0, which covers the log blowups of
-        exponent 0 (the K0 and elliptic dilations)."""
-        return super().singular_at_low() or any(
-            d.support[0] == 0.0 and d.singular_at_low() for d in self._densities())
-
-    def _blowup_radii(self) -> set[float]:
+    def blowups(self) -> tuple[float, ...]:
         """A density crossed with an atom c of the other side leaves its
-        blowups, inside its support and at a finite supremum it is singular
-        at, at c times their radii in the image."""
-        radii = set()
-        for d, atoms in _cross_terms(self.source, self.dilation)[0]:
-            rhos = list(d.interior_singular_radii())
-            if d.singular_at_high() and math.isfinite(d.support[1]):
-                rhos.append(d.support[1])
-            radii.update(c * rho for c, _ in atoms for rho in rhos)
-        return radii
-
-    def singular_at_high(self) -> bool:
-        """The blowup left by the source's supremum sits at the image's."""
-        hi = self.support[1]
-        return math.isfinite(hi) and any(r >= hi for r in self._blowup_radii())
-
-    def interior_singular_radii(self) -> tuple[float, ...]:
-        hi = self.support[1]
-        return tuple(sorted(r for r in self._blowup_radii() if 0.0 < r < hi))
+        blowups at c times their radii. The density pair leaves one at 0
+        where either density blows up there, which covers the log blowups
+        of exponent 0 (the K0 and elliptic dilations), and so does a
+        negative exponent."""
+        scaled, pair = _cross_terms(self.source, self.dilation)
+        radii = {c * rho for d, atoms in scaled for c, _ in atoms for rho in d.blowups()}
+        if self._exponent < 0.0 or any(d.blowups()[:1] == (0.0,) for d in pair or ()):
+            radii.add(0.0)
+        return tuple(sorted(radii))
 
     def kinks(self) -> tuple[float, ...]:
         """A density crossed with an atom c of the other side leaves its kinks

@@ -254,6 +254,13 @@ def test_power_image_kinks_are_the_mapped_knots(e):
     assert t.kinks() == (0.5, 1.0, 2.0)
     assert PowerImageDensity(t, e).kinks() == tuple(x ** e for x in t.xs)
     assert la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0).kinks() == ()
+    # the blowups of a1 of atoms at 0.5 and 2, at their square roots, map
+    # too; a1 of atoms is bounded at 0, so only its square image gains the
+    # blowup of exponent -1/2 there
+    base = la.arcsine1(la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)])).components[0][1].density
+    assert base.blowups() == (0.5 ** 0.5, 2.0 ** 0.5)
+    low = (0.0,) if e == 2.0 else ()
+    assert PowerImageDensity(base, e).blowups() == low + tuple(x ** e for x in base.blowups())
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +305,9 @@ def test_tabulate_density_preserves_mass():
     assert tab.mass() == pytest.approx(1.0, abs=5e-4)
 
 
-def test_table_interior_singular_radii_default_empty():
+def test_table_declares_no_blowups():
     t = la.TableDensity([0.1, 0.5, 1.0], [0.2, 0.8, 0.1])
-    assert t.interior_singular_radii() == ()
+    assert t.blowups() == ()
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,12 @@ def test_batch_ranges_flags_and_interior_blowups():
     got = quad_batch(lambda x, k: 1.0 / np.sqrt(np.abs(x - c[k])), c.size, 0.0, 1.0,
                      abs_tol=1e-12, blowups=c[:, None])
     assert np.all(np.abs(got - 2.0 * (np.sqrt(c) + np.sqrt(1.0 - c))) < 1e-11)
-    # int_a^b ((x - a)(b - x))^(-1/2) dx = pi on ranges of their own
+    # int_a^b ((x - a)(b - x))^(-1/2) dx = pi on ranges of their own, with
+    # blowups at both ends
     a = np.array([0.0, 1.0, -3.0])
     b = np.array([1.0, 5.0, -2.5])
     got = quad_batch(lambda x, k: 1.0 / np.sqrt((x - a[k]) * (b[k] - x)), a.size, a, b,
-                     abs_tol=1e-12, singular_left=True, singular_right=True)
+                     abs_tol=1e-12, blowups=np.stack([a, b], axis=1))
     assert np.all(np.abs(got - math.pi) < 1e-11)
 
 
@@ -155,7 +156,7 @@ def test_batch_break_points_resolve_kinks():
 def test_batch_empty_ranges_are_zero():
     got = quad_batch(lambda x, k: np.ones_like(x), 3, [0.0, 2.0, 3.0], [1.0, 2.0, 1.0])
     assert got.tolist() == [1.0, 0.0, 0.0]
-    got = quad_batch(lambda x, k: np.ones_like(x), 2, 3.0, 1.0, singular_left=True)
+    got = quad_batch(lambda x, k: np.ones_like(x), 2, 3.0, 1.0, blowups=np.array([3.0]))
     assert got.tolist() == [0.0, 0.0]
 
 
@@ -164,29 +165,29 @@ def test_batch_result_independent_of_company():
     # bit for bit the same alone and inside any batch
     c = np.array([0.3, 1.7, 4.0, 11.0])
     f = lambda x, k: np.cos(c[k] * x) / np.sqrt(x)
-    batch = quad_batch(f, c.size, 0.0, 3.0, abs_tol=1e-12, singular_left=True)
+    zero = np.array([0.0])
+    batch = quad_batch(f, c.size, 0.0, 3.0, abs_tol=1e-12, blowups=zero)
     for k in range(c.size):
         alone = quad_batch(lambda x, j: np.cos(c[k] * x) / np.sqrt(x), 1, 0.0, 3.0,
-                           abs_tol=1e-12, singular_left=True)
+                           abs_tol=1e-12, blowups=zero)
         assert alone[0] == batch[k]
     # every input form at once: per-integral break points padded with NaN,
-    # interior blowups (absent for some integrals), infinite upper limits,
-    # mixed singular flags and tolerances, in a batch of more than
+    # blowups at either end and inside (absent for some integrals), infinite
+    # upper limits and mixed tolerances, in a batch of more than
     # CHUNK_INTERVALS initial subintervals
     f, n, a, b, kw = _mixed_batch()
     assert n * kw["points"].shape[1] > CHUNK_INTERVALS
     batch = quad_batch(f, n, a, b, **kw)
     for k in range(n):
         alone = quad_batch(lambda x, j: f(x, np.full_like(j, k)), 1, a[k], b[k],
-                           **{key: v[k] if key in ("abs_tol", "singular_left", "singular_right")
-                              else v[k:k + 1] for key, v in kw.items()})
+                           **{key: v[k] if key == "abs_tol" else v[k:k + 1] for key, v in kw.items()})
         assert alone[0] == batch[k], k
     # the same integrals with every argument shared but f
     shared = quad_batch(lambda x, k: np.cos((1.0 + k) * x) / np.sqrt(x), 600, 0.0, 3.0,
-                        abs_tol=1e-12, singular_left=True, points=np.array([1.0, 2.0]))
+                        abs_tol=1e-12, blowups=zero, points=np.array([1.0, 2.0]))
     for k in (0, 7, 599):
         alone = quad_batch(lambda x, j: np.cos((1.0 + k) * x) / np.sqrt(x), 1, 0.0, 3.0,
-                           abs_tol=1e-12, singular_left=True, points=np.array([1.0, 2.0]))
+                           abs_tol=1e-12, blowups=zero, points=np.array([1.0, 2.0]))
         assert alone[0] == shared[k]
 
 
@@ -204,7 +205,8 @@ def test_qk21_sums_do_not_depend_on_the_batch():
     sl = rng.random(n) < 0.5
     sr = (rng.random(n) < 0.5) & np.isfinite(b)
     points = a[:, None] + rng.uniform(0.0, 0.5, (n, 3))
-    own, cells, kinds = _partition(a, b, sl, sr, points, np.empty(0))
+    blowups = np.where(np.stack([sl, sr], axis=1), np.stack([a, b], axis=1), np.nan)
+    own, cells, kinds = _partition(a, b, points, blowups)
     assert own.size > CHUNK_INTERVALS and kinds == [0, 1, 2, 3]
     c = rng.uniform(0.5, 2.0, n)
     f = lambda x, k: np.exp(-c[k] * x) * (1.0 + np.sin(x))
@@ -222,12 +224,17 @@ def test_qk21_sums_do_not_depend_on_the_batch():
     assert np.all(np.abs(val - plain) <= 4.0 * np.finfo(float).eps * size)
 
 
-def _reference_cells(a, b, sl, sr, points, blowups):
+def _reference_cells(a, b, points, blowups):
     """The initial cells (kind, anchor, lo, hi) of one integral, built piece
-    by piece in plain Python: the loop the array-built partition replaced."""
+    by piece in plain Python under quad_batch's rule: a blowup within 1e-12
+    (relative) of an end maps that end, and one further inside cuts the
+    range unless it is within 1e-12 of the cut before."""
+    sl = any(abs(c - a) <= 1e-12 * abs(c) for c in blowups)
+    sr = any(abs(c - b) <= 1e-12 * abs(c) for c in blowups)
     cuts = []
     for c in sorted(blowups):
-        if a < c < b and (not cuts or c - cuts[-1] > 1e-12 * c):
+        tol = 1e-12 * abs(c)
+        if c - a > tol and b - c > tol and (not cuts or c - cuts[-1] > tol):
             cuts.append(c)
     edges = [a] + cuts + [b]
     out = []
@@ -258,24 +265,25 @@ def _reference_cells(a, b, sl, sr, points, blowups):
 
 def test_partition_matches_the_per_integral_loop():
     # ranges of every kind, tiny and unbounded, with break points and
-    # blowups at the ends, at the midpoint and on top of each other
+    # blowups at the ends, within 1e-12 of them, at the midpoint and on top
+    # of each other
     rng = np.random.default_rng(11)
     for _ in range(300):
         n = int(rng.integers(1, 5))
         a = rng.choice([0.0, -1.0, 0.5, 2.0], n) * rng.random(n)
         b = a + rng.choice([1e-12, 0.3, 1.0, 5.0, math.inf], n)
-        sl = rng.random(n) < 0.5
-        sr = (rng.random(n) < 0.5) & np.isfinite(b)
-        points, blowups = np.full((n, 5), np.nan), np.full((n, 3), np.nan)
+        points, blowups = np.full((n, 5), np.nan), np.full((n, 4), np.nan)
         for k in range(n):
             top = b[k] if math.isfinite(b[k]) else a[k] + 10.0
             cand = np.concatenate([rng.uniform(a[k] - 0.5, top + 0.5, 4),
                                    [a[k], b[k], 0.5 * (a[k] + b[k]), a[k] + max(1.0, abs(a[k]))]])
-            m, mb = int(rng.integers(0, 6)), int(rng.integers(0, 4))
-            points[k, :m], blowups[k, :mb] = rng.choice(cand, m), rng.choice(cand, mb)
-        own, cells, _ = _partition(a, b, sl, sr, points, blowups)
+            near = [a[k] * (1.0 + 5e-13), top * (1.0 - 5e-13)]
+            m, mb = int(rng.integers(0, 6)), int(rng.integers(0, 5))
+            points[k, :m] = rng.choice(cand, m)
+            blowups[k, :mb] = rng.choice(np.concatenate([cand[np.isfinite(cand)], near]), mb)
+        own, cells, _ = _partition(a, b, points, blowups)
         for k in range(n):
-            want = _reference_cells(a[k], b[k], sl[k], sr[k], points[k][~np.isnan(points[k])],
+            want = _reference_cells(a[k], b[k], points[k][~np.isnan(points[k])],
                                     blowups[k][~np.isnan(blowups[k])])
             got = [tuple(c) for c in cells[[3, 2, 0, 1]][:, own == k].T.tolist()]
             assert got == [tuple(map(float, c)) for c in want]
@@ -292,14 +300,14 @@ def _mixed_batch():
     sl = rng.random(n) < 0.5
     sr = (rng.random(n) < 0.5) & np.isfinite(b)
     d = a + rng.uniform(0.1, 0.4, n)
-    blowups = d[:, None].copy()
-    blowups[1::5] = np.nan
+    blowups = np.stack([np.where(sl, a, np.nan), np.where(sr, b, np.nan), d], axis=1)
+    blowups[1::5, 2] = np.nan
     points = np.full((n, 30), np.nan)
     for k in range(n):
         m = int(rng.integers(0, 31))
         points[k, :m] = rng.uniform(a[k], min(b[k], a[k] + 3.0), m)
     c = rng.uniform(0.5, 3.0, n)
-    blown = ~np.isnan(blowups[:, 0])
+    blown = ~np.isnan(blowups[:, 2])
 
     def f(x, k):
         out = np.cos(c[k] * x) * np.exp(-x)
@@ -307,8 +315,7 @@ def _mixed_batch():
         out = np.where(sl[k], out / np.sqrt(x - a[k]), out)
         return np.where(sr[k], out / np.sqrt(np.where(sr[k], b[k] - x, 1.0)), out)
 
-    kw = dict(abs_tol=np.where(rng.random(n) < 0.5, 1e-9, 1e-10), singular_left=sl,
-              singular_right=sr, points=points, blowups=blowups)
+    kw = dict(abs_tol=np.where(rng.random(n) < 0.5, 1e-9, 1e-10), points=points, blowups=blowups)
     return f, n, a, b, kw
 
 

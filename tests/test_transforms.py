@@ -75,10 +75,12 @@ def test_a1_rejects_non_l1_source():
 
 
 def test_a1_image_interior_singularities():
+    # each atom leaves a blowup at its image, the top one at the supremum;
+    # a1 of atoms is bounded at 0
     src = la.half_line_measure(atoms=[(2.0, 1.0), (0.5, 1.0)])
     d = _density(la.arcsine1(src))
-    radii = d.interior_singular_radii()
-    assert radii == (pytest.approx(math.sqrt(0.5)),)
+    assert d.support[1] == pytest.approx(math.sqrt(2.0))
+    assert d.blowups() == (pytest.approx(math.sqrt(0.5)), d.support[1])
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +111,36 @@ def test_a2_routes_agree(delta1):
 def test_a2_direct_reads_the_power_image_of_an_unbounded_kernel(ex2_measure):
     # arcsine2_direct(a1(EX2)) is a1 over P_2 of the a1 kernel, which reads
     # the image's exponent at zero and its tail radius through the kernel's;
-    # arcsine2(a1(EX2)) folds to one scale mixture over the elliptic dilation
-    img = la.arcsine1(ex2_measure)
-    direct = _density(la.arcsine2_direct(img))
-    folded = _density(la.arcsine2(img))
-    assert isinstance(direct, _HalfIntegralKernel) and isinstance(folded, _ChainKernel)
-    assert isinstance(direct.source.density, PowerImageDensity)
-    rs = np.array([0.1, 0.5, 1.0, 2.0, 4.0])
-    want = folded.values(rs)
-    assert np.all(np.abs(direct.values(rs) - want) <= 1e-12 * want)
+    # arcsine2(a1(EX2)) folds to one scale mixture over the elliptic dilation.
+    # a1 of atoms at 0.5 and 2 is bounded, and its P_2 image carries the
+    # atoms' blowups at 0.5 and 2, which the direct route must cut at
+    atoms = la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)])
+    for src, rs in ((ex2_measure, [0.1, 0.5, 1.0, 2.0, 4.0]), (atoms, [0.3, 0.6, 0.8, 1.0, 1.2])):
+        img = la.arcsine1(src)
+        direct = _density(la.arcsine2_direct(img))
+        folded = _density(la.arcsine2(img))
+        assert isinstance(direct, _HalfIntegralKernel) and isinstance(folded, _ChainKernel)
+        assert isinstance(direct.source.density, PowerImageDensity)
+        want = folded.values(np.array(rs))
+        assert np.all(np.abs(direct.values(np.array(rs)) - want) <= 1e-12 * want)
+
+
+def test_kernels_read_the_square_image_of_an_a1_image_of_atoms():
+    # P_2 of a1 of atoms at 0.5 (mass 1) and 2 (mass 0.7) blows up at 0, 0.5
+    # and 2; its mass, its tails and its a1, a2 and ups0 images all need the
+    # two atom blowups, which the image maps from its base
+    atoms = la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 0.7)])
+    img = la.arcsine1(atoms)
+    sq = la.power_reparam(img, 2.0)
+    rc = sq.components[0][1]
+    assert abs(integrate(rc, lambda r: 1.0, (0.0, math.inf), abs_tol=1e-10) - 1.7) <= 1e-10
+    want = la.tail(img.components[0][1], math.sqrt(0.3))
+    assert abs(la.tail(rc, 0.3) - want) <= 1e-12 * want
+    rs = np.geomspace(1e-3, 1.9, 61)
+    for op in (la.arcsine1, la.arcsine2, la.upsilon0):
+        d = _density(op(sq))
+        vals = d.values(rs)
+        assert np.all(np.isfinite(vals)) and np.all((vals > 0.0) == (rs < d.support[1])), op.__name__
 
 
 @pytest.mark.parametrize("table, rs, rel", [
@@ -288,11 +311,14 @@ class _SquareWave(Density):
     ("upsilon0", "upsilon kernel at r=0.5"),
     ("invert", "inversion tail at u=0.25"),
     ("invert", "inversion tail at u=0.25 of _SquareWave"),
+    ("tail", "radial integral of _SquareWave"),
 ])
 def test_nonconvergence_names_kernel_and_point(kernel, where):
     with pytest.raises(QuadratureNonConvergence, match=where):
         if kernel == "invert":
             la.invert_arcsine1(la.half_line_measure(density=_SquareWave()), grid=(0.25, 1.0, 2))
+        elif kernel == "tail":
+            la.tail(la.RadialComponent(density=_SquareWave()), 0.25)
         else:
             _image(kernel, _SquareWave()).value(0.5)
 
@@ -636,31 +662,30 @@ def test_scale_mixture_declares_blowup_at_its_supremum(delta1):
     for img in (la.arcsine2(delta1), la.upsilon_tau(delta1, la.arcsine_dilation())):
         d = _density(img)
         assert d.support[1] == 1.0
-        assert d.singular_at_high()
-        assert d.interior_singular_radii() == ()
-    assert not _density(la.upsilon0(delta1)).singular_at_high()
+        assert d.blowups() == (1.0,)
+    assert _density(la.upsilon0(delta1)).blowups() == ()
     two = la.half_line_measure(atoms=[(0.5, 1.0), (2.0, 1.0)])
     d = _density(la.arcsine2(two))
-    assert d.singular_at_high() and d.interior_singular_radii() == (0.5,)
+    assert d.support[1] == 2.0 and d.blowups() == (0.5, 2.0)
     # a dilation density that blows up inside its support, a1 of atoms at
     # 0.25 and 1 (blowups at 0.5 and 1, mass 2): a source atom at s leaves
     # the interior one at 0.5 s, without which the mass integral raises
     tau = la.arcsine1(la.half_line_measure(atoms=[(0.25, 1.0), (1.0, 1.0)])).components[0][1]
-    for atoms, inner in (([(1.0, 1.0)], (0.5,)), ([(1.0, 1.0), (2.0, 1.0)], (0.5, 1.0))):
+    for atoms, radii in (([(1.0, 1.0)], (0.5, 1.0)), ([(1.0, 1.0), (2.0, 1.0)], (0.5, 1.0, 2.0))):
         rc = la.upsilon_tau(la.half_line_measure(atoms=atoms), tau).components[0][1]
-        assert rc.density.singular_at_high() and rc.density.interior_singular_radii() == inner
+        assert rc.density.blowups() == radii and rc.density.support[1] == radii[-1]
         mass = integrate(rc, lambda r: 1.0, (0.0, math.inf), abs_tol=1e-10)
         assert abs(mass - 2.0 * len(atoms)) <= 1e-10, atoms
     # the mirror case: that density as the source, a dilation atom at 2
     rc = la.upsilon_tau(la.half_line_measure(density=tau.density),
                         la.RadialComponent(((2.0, 1.0),))).components[0][1]
-    assert rc.density.singular_at_high() and rc.density.interior_singular_radii() == (1.0,)
+    assert rc.density.blowups() == (1.0, 2.0) and rc.density.support[1] == 2.0
     assert abs(integrate(rc, lambda r: 1.0, (0.0, math.inf), abs_tol=1e-10) - 2.0) <= 1e-10
     # a dilation atom at 2 above the arcsine density: the atom at 1 leaves
     # the density's blowup at 1, not at the dilation's supremum 2
     rc = la.upsilon_tau(delta1, la.RadialComponent(((2.0, 1.0),), ArcsineDilationDensity())
                         ).components[0][1]
-    assert not rc.density.singular_at_high() and rc.density.interior_singular_radii() == (1.0,)
+    assert rc.density.support[1] == 2.0 and rc.density.blowups() == (1.0,)
     assert abs(integrate(rc, lambda r: 1.0, (0.0, math.inf), abs_tol=1e-10) - 2.0) <= 1e-10
 
 
@@ -1279,16 +1304,16 @@ def test_log_blowups_at_zero_count_as_singular(delta1, ex1_measure, monkeypatch)
     calls, cells = _counting_passes(monkeypatch)
     # a scale mixture over the K0 dilation: ups0(a1(delta1)) = (2/pi) K0(r)
     k0_image = la.upsilon0(la.arcsine1(delta1)).components[0][1]
-    assert k0_image.density.exponent_at_zero() == 0.0 and k0_image.density.singular_at_low()
+    assert k0_image.density.exponent_at_zero() == 0.0 and k0_image.density.blowups() == (0.0,)
     got = integrate(k0_image, lambda r: r, (0.0, math.inf))
     assert abs(got - TWO_OVER_PI) <= 1e-15 and calls[0] <= 6  # 13 passes without the map
     # the elliptic dilation: a2(a2(delta1)) carries the unit mass
     ell = la.arcsine2(la.arcsine2(delta1)).components[0][1]
-    assert ell.density.singular_at_low()
+    assert ell.density.blowups() == (0.0,)
     assert integrate(ell, lambda r: 1.0, (0.0, math.inf)) == pytest.approx(1.0, abs=1e-10)
     # a1 of a source density s^(-1/2) at 0: a1(EX1) = K0
     a1 = la.arcsine1(ex1_measure).components[0][1]
-    assert a1.density.exponent_at_zero() == 0.0 and a1.density.singular_at_low()
+    assert a1.density.exponent_at_zero() == 0.0 and a1.density.blowups() == (0.0,)
     mpmath = pytest.importorskip("mpmath")
     want = float(mpmath.quad(lambda r: mpmath.besselk(0, r), [0, 1]))
     cells[0] = 0
