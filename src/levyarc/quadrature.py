@@ -38,8 +38,8 @@ Both apply the manipulations that recur throughout this package:
   by the caller's envelope metadata or mapped to a finite range, by
   x = a + t/(1 - t) in the engine and by QUADPACK's own map in
   adaptive_quad. In the engine a node whose 1 - t rounds to 0 stands for
-  x = inf and carries no weight; the scale-mixture kernel maps its
-  unbounded u-ranges this way instead of truncating them.
+  x = inf and carries no weight; the scale-mixture kernel's unbounded
+  u-ranges and the Abel evaluator's untruncated ones are mapped this way.
 
 Tolerances are absolute, with a relative floor of 1e-12 of the value: an
 integral is accepted when its error estimate is at most

@@ -31,12 +31,13 @@ integrals, which compose to a full one, so the inversion returns the tails of
 the kernel's source, one integral per point. Nor does an a2 image, a1 of the
 squared source: its inversion returns the source's tails at sqrt(u). The
 evaluator cuts its range where f blows up, by the rule quad_batch applies to
-every integral (quadrature._cut). A finite piece (a, b) runs on
-s = a + (b - a) w**2, which absorbs an inverse square root blowup at a; a
-piece that ends on a blowup of f runs on s = a + (b - a) sin(theta)**2, which
-absorbs one at each end. Its decade
-marks start at 1e-3 of the gap from a down to the nearest point where the
-integrand may not be smooth, capped at 1e-5 (b - a).
+every integral (quadrature._cut). Every piece (a, b) runs on one map,
+s = a + span w**2, which absorbs an inverse square root blowup at a: a finite
+piece on w in (0, 1), span b - a; one that ends on a blowup of f on
+w = sin(theta), which absorbs one at b too; an unbounded piece on w in
+(0, oo), span 1. A finite piece's decade marks start at 1e-3 of the gap from
+a down to the nearest point where the integrand may not be smooth, capped at
+1e-5 (b - a); an unbounded piece is broken at f's kinks only.
 
 Chain rewrite: with P_p the image under r -> r**p, every op is
 Upsilon_sigma o P_p: a1 = (arcsine, 1/2), a2 = (arcsine, 1), and a scale
@@ -231,19 +232,19 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     f.weighted_tail_radius(abs_tol / (q sqrt(2)), q/2 - 1): beyond 2x,
     (s - x)^(-1/2) <= sqrt(2) s^(-1/2), so after s = r**q the dropped tail is
     at most abs_tol. The range is cut at the blowups of f (f.blowups()) by
-    quad_batch's rule, quadrature._cut. A finite piece (a, b) runs on the
-    square map s = a + (b - a) w^2, w in (0, 1), which absorbs an inverse
-    square root blowup at a, the s = x anchor included when a == x. A piece
-    that ends on a blowup (a cut, or an end _cut finds one at) runs on the
-    sine map
-    s = a + (b - a) sin^2(theta), theta in (0, pi/2), which absorbs one at
-    both edges: there (s - a)^(-1/2) (b - s)^(-1/2) is exactly constant, so
-    the engine never refines into the rounding of b - s. Either way the
-    integrand forms s - x = (a - x) + (b - a) w^2 (or sin^2) itself and never
-    divides by a difference that can underflow. The kinks of f and every
-    decade of (s - a)/(b - a) from the piece's own scale up (see the comment
-    at the marks) are break points, mapped by w = ((s - a)/(b - a))^(1/2)
-    (theta = arcsin w). label(i) names the integral at xs[i]."""
+    quad_batch's rule, quadrature._cut. Every piece (a, b) runs on one map,
+    s = a + span w^2, which absorbs an inverse square root blowup at a, the
+    s = x anchor included when a == x:
+    * a finite piece takes w in (0, 1), span = b - a;
+    * one that ends on a blowup (a cut, or an end _cut finds one at) takes
+      w = sin(theta), theta in (0, pi/2): the factor cos(theta) absorbs the
+      blowup at b, so the engine never refines into the rounding of b - s;
+    * an unbounded piece takes w in (0, oo), span 1, which quad_batch maps.
+    The integrand forms s - x = (a - x) + span w^2 itself and never divides
+    by a difference that can underflow. The kinks of f are break points,
+    mapped by w = ((s - a)/span)^(1/2) (theta = arcsin w), and on a finite
+    piece so is every decade of (s - a)/span from the piece's own scale up
+    (see the comment at the marks). label(i) names the integral at xs[i]."""
     # f's blowups in s, but one at its low end: that sits at or below every start
     blowups = np.array([rho ** q for rho in f.blowups() if rho > f.support[0]])
     step = max(1, BREAK_POINT_BUDGET // (blowups.size + 1) // (len(f.kinks()) + 11))
@@ -269,37 +270,37 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
     # integral is read from above
     piece, a, b, _, sine = _cut(starts[rows], his[rows], blowups)
     owner, tols = rows[piece], abs_tol / np.bincount(piece)[piece]
-    x = xs[owner]
     finite = np.isfinite(b)
     span = np.where(finite, b - a, 1.0)
-    lead = a - x
-    # kinds 0, 1, 2: a finite piece on w in (0, 1), s = a + span w**2; one
-    # that ends on a blowup of f on theta in (0, pi/2), w = sin(theta); an
-    # unbounded piece on (a, oo)
-    kind = np.where(finite, sine.view(np.int8), 2)
-    # a finite piece's break points, mapped, are the kinks inside it and the
-    # marks rel0 * 10**k below 1 of (s - a)/span. The integrand is smooth on
-    # the scale of d0, the distance from a down to x (when a > x), lo, or a
-    # blowup or kink, so rel0 = 1e-3 d0/span; the clip to [1e-12, 1e-5] gives
-    # a piece that starts on such a point (d0 = 0) the marks 1e-11 ... 1e-1,
-    # and every piece at least four.
+    lead = a - xs[owner]
+    # a piece's break points, mapped, are the kinks inside it and, on a finite
+    # piece, the marks rel0 * 10**k below 1 of (s - a)/span. The integrand is
+    # smooth on the scale of d0, the distance from a down to x (when a > x),
+    # lo, or a blowup or kink, so rel0 = 1e-3 d0/span; the clip to
+    # [1e-12, 1e-5] gives a piece that starts on such a point (d0 = 0) the
+    # marks 1e-11 ... 1e-1, and every finite piece at least four
     gaps = a[:, None] - np.concatenate([blowups, knots, [lo]])
     d0 = np.fmin(np.where(lead > 0.0, lead, np.inf), np.where(gaps >= 0.0, gaps, np.inf).min(axis=1))
     rel = _decade_marks(0.0, np.ones(a.size), np.clip(1e-3 * d0 / span, 1e-12, 1e-5))
+    rel[~finite] = np.nan
     if knots.size:
         inside = (knots > a[:, None]) & (knots < b[:, None])
         rel = np.concatenate([rel, np.where(inside, (knots - a[:, None]) / span[:, None], np.nan)], axis=1)
     points = np.sqrt(rel)
-    if sine.any():
+    sined = sine.any()
+    if sined:
         points[sine] = np.arcsin(points[sine])
-    if not finite.all():
-        points[~finite] = np.nan
-        if knots.size:
-            points[~finite, -knots.size:] = np.where(inside[~finite], knots, np.nan)
 
-    def square_mapped(w: np.ndarray, k: np.ndarray) -> np.ndarray:
+    def integrand(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         # s - x = (a - x) + span w^2: no difference that can cancel, and at
-        # a == x the quotient is 2 span^(1/2) g(s)
+        # a == x the quotient is 2 span^(1/2) g(s); a node theta of a sine
+        # piece reads w = sin(theta) and is weighted by dw = cos(theta) dtheta
+        w = t
+        if sined:
+            on = sine[k]
+            theta = t[on]
+            w = t.copy()
+            w[on] = np.sin(theta)
         sp = span[k]
         rise = sp * w
         rise *= w
@@ -307,36 +308,14 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
         out *= w
         out *= g(a[k] + rise)
         rise += lead[k]
-        return np.divide(out, np.sqrt(rise, out=rise), out=out)
-
-    def sine_mapped(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # w = sin(t), dw = cos(t) dt
-        out = square_mapped(np.sin(t), k)
-        out *= np.cos(t)
+        np.divide(out, np.sqrt(rise, out=rise), out=out)
+        if sined:
+            out[on] *= np.cos(theta)
         return out
 
-    def unbounded(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        # no truncation radius is available; the quotient is safe here
-        # because a > x holds on any unbounded piece with cuts before it,
-        # and the anchored case runs on the endpoint substitution
-        return g(s) / np.sqrt(s - x[k])
-
-    maps = (square_mapped, sine_mapped, unbounded)
-    present = np.unique(kind).tolist()
-
-    def mixed(t: np.ndarray, k: np.ndarray) -> np.ndarray:
-        out, kk = np.empty(t.shape), kind[k]
-        for c in present:
-            at = kk == c
-            out[at] = maps[c](t[at], k[at])
-        return out
-
-    integrand = maps[present[0]] if len(present) == 1 else mixed
-    # an unbounded piece starts at x or at a blowup of f
-    vals = quad_batch(integrand, owner.size, np.where(finite, 0.0, a),
-                      np.where(sine, 0.5 * math.pi, np.where(finite, 1.0, b)), abs_tol=tols,
-                      points=points, label=lambda k: label(owner[k]),
-                      blowups=None if finite.all() else np.where(finite, np.nan, a)[:, None])
+    upper = np.where(sine, 0.5 * math.pi, np.where(finite, 1.0, b))
+    vals = quad_batch(integrand, owner.size, 0.0, upper, abs_tol=tols, points=points,
+                      label=lambda k: label(owner[k]))
     return np.bincount(owner, vals, xs.size)
 
 

@@ -59,13 +59,19 @@ def test_a1_preserves_total_mass(atoms):
 
 
 @pytest.mark.xfail(raises=QuadratureNonConvergence, strict=True,
-                   reason="blowups 5e-7 apart are read through the squared radius, "
-                          "whose rounding the endpoint map cannot resolve")
-def test_a1_preserves_mass_of_near_coincident_atoms():
-    # a known failure of the a1 mass identity, found by the property test above
-    img = la.arcsine1(la.half_line_measure(atoms=[(1.0, 1.0), (1.000001, 1.0)]))
+                   reason="blowups 1e-6 to 3e-4 apart (relative) are read through the "
+                          "squared radius, whose rounding the endpoint map cannot resolve")
+@pytest.mark.parametrize("atoms", [
+    [(1.0, 1.0), (1.000001, 1.0)],
+    [(0.5, 1.0), (0.5001370914631924, 5.0)],
+    [(3.0, 1.0), (1.900390625, 1.0), (1.900758630069283, 1.0)],
+], ids=["gap 1e-6", "gap 2.7e-4", "gap 1.9e-4 of three"])
+def test_a1_preserves_mass_of_near_coincident_atoms(atoms):
+    # known failures of the a1 mass identity, each found by the property test
+    # above: error estimates of 1.9e-8, 5.3e-8 and 1.3e-8 against 1e-9
+    img = la.arcsine1(la.half_line_measure(atoms=atoms))
     got = integrate(img.components[0][1], lambda r: 1.0, (0.0, math.inf), abs_tol=1e-9)
-    assert got == pytest.approx(2.0, rel=1e-7)
+    assert got == pytest.approx(sum(w for _, w in atoms), rel=1e-7)
 
 
 def test_a1_rejects_non_l1_source():
@@ -1135,7 +1141,8 @@ def test_abel_kernels_read_zero_at_the_end_of_a_bounded_source():
 
 
 # ---------------------------------------------------------------------------
-# the Abel evaluator's maps: square on a piece, sine on one ending on a blowup
+# the Abel evaluator's one map s = a + span w^2: w in (0, 1) on a finite piece,
+# w = sin(theta) on one ending on a blowup, w in (0, oo) on an unbounded one
 # ---------------------------------------------------------------------------
 
 def _near_blowup_cases():
@@ -1172,16 +1179,18 @@ def test_abel_batch_of_sine_and_square_pieces(monkeypatch):
     # half-order integrals compose to the full one, so the result is rc's tail
     rc = la.RadialComponent(((1.0, 1.0),), la.ExpPowerDensity(1.0, -0.5, 1.0, 1.0))
     d = la.frac_half(la.frac_half(rc)).density
-    quad_batch, integrands = transforms.quad_batch, []
+    quad_batch, uppers = transforms.quad_batch, []
 
-    def recording(f, *args, **kw):
-        integrands.append(f.__name__)
-        return quad_batch(f, *args, **kw)
+    def recording(f, n, a, b, **kw):
+        uppers.append(np.broadcast_to(b, (n,)).tolist())
+        return quad_batch(f, n, a, b, **kw)
 
     monkeypatch.setattr(transforms, "quad_batch", recording)
     xs = np.array([0.05, 0.3, 0.9, 0.999, 1.001, 1.5, 3.0])
     got = d.values(xs)
-    assert "mixed" in integrands
+    # the outer call comes first; the inner image's reads are all square pieces
+    assert 0.5 * math.pi in uppers[0] and 1.0 in uppers[0]
+    assert [row for row in uppers if 0.5 * math.pi in row] == [uppers[0]]
     want = la.tail(rc, xs)
     assert np.all(np.abs(got - want) <= 1e-10 * want)
 
@@ -1235,27 +1244,79 @@ class _KinkedTail(Density):
         return (2.0,)
 
 
-def test_abel_kernel_breaks_an_unbounded_piece_at_its_kinks(monkeypatch):
-    from levyarc import transforms
-    points = []
+class _KinkedTailBlownUp(_KinkedTail):
+    """_KinkedTail plus (2 - s)^(-1/2) below 2: the Abel range of x < 2 is
+    cut at the blowup at 2, and its unbounded piece starts there."""
 
-    def recording(*args, **kw):
+    def values(self, rs):
+        s = np.asarray(rs, float)
+        below = (s > 0.0) & (s < 2.0)
+        return super().values(s) + np.where(below, 1.0 / np.sqrt(np.where(below, 2.0 - s, 1.0)), 0.0)
+
+    def blowups(self):
+        return (2.0,)
+
+
+def test_abel_kernel_breaks_an_unbounded_piece_at_its_kinks(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    from levyarc import transforms
+    points, uppers = [], []
+
+    def recording(f, n, a, b, **kw):
         points.append(kw["points"])
-        return quad_batch(*args, **kw)
+        uppers.append(np.broadcast_to(b, (n,)))
+        return quad_batch(f, n, a, b, **kw)
 
     quad_batch = transforms.quad_batch
     monkeypatch.setattr(transforms, "quad_batch", recording)
-    xs = [0.3, 1.0, 1.9, 2.5, 4.0]
-    got = la.frac_half(la.RadialComponent((), _KinkedTail())).density.values(np.array(xs))
-    # one unbounded piece per x, broken at the kink when it lies inside
-    assert [2.0 in row for row in points[0]] == [x < 2.0 for x in xs]
-    f = lambda s: math.exp(-s) * (1.0 + abs(s - 2.0))
-    for x, g in zip(xs, got.tolist()):
-        # pi^(-1/2) int_0^oo 2 f(x + w^2) dw, split at the kink
-        cuts = [0.0] + ([math.sqrt(2.0 - x)] if x < 2.0 else []) + [math.inf]
-        want = sum(_quad(lambda w: 2.0 * f(x + w * w), a, b)
-                   for a, b in zip(cuts[:-1], cuts[1:])) / SQRT_PI
-        assert abs(g - want) <= 1e-13 * want, (x, g, want)
+    # with the blowup, x < 2 leaves a sine piece up to 2 and an unbounded one
+    # from the cut at 2; 0.01 below the blowup the sine piece reads 1.8e-12
+    # relative
+    for dens, xs, rel in ((_KinkedTail(), [0.3, 1.0, 1.9, 2.5, 4.0], {}),
+                          (_KinkedTailBlownUp(), [0.3, 1.0, 1.9, 1.99, 2.5, 4.0], {1.99: 2e-12})):
+        points.clear()
+        uppers.clear()
+        got = la.frac_half(la.RadialComponent((), dens)).density.values(np.array(xs))
+        # one unbounded piece per x, on w with s = a + w^2, broken at the kink
+        # w = (2 - x)^(1/2) when it lies inside, and at nothing else
+        unbounded = points[0][np.isinf(uppers[0])]
+        assert len(unbounded) == len(xs)
+        for x, row in zip(xs, unbounded):
+            want_row = [math.sqrt(2.0 - x)] if x < 2.0 and not dens.blowups() else []
+            assert row[~np.isnan(row)].tolist() == want_row, x
+        blowup = bool(dens.blowups())
+        f = lambda s: (mpmath.exp(-s) * (1 + abs(s - 2))
+                       + (1 / mpmath.sqrt(2 - s) if blowup and s < 2 else 0))
+        with mpmath.workdps(30):
+            for x, g in zip(xs, got.tolist()):
+                # pi^(-1/2) int_0^oo 2 f(x + v^2) dv, split at the kink
+                cuts = [0] + ([mpmath.sqrt(2 - mpmath.mpf(x))] if x < 2.0 else []) + [mpmath.inf]
+                want = float(mpmath.quad(lambda v: 2 * f(x + v * v), cuts) / mpmath.sqrt(mpmath.pi))
+                assert abs(g - want) <= rel.get(x, 1e-13) * want, (type(dens).__name__, x, g, want)
+
+
+def test_a1_of_an_upsilon_image_with_unbounded_abel_ranges(ex2_measure):
+    # the scale mixture against s^(-1/2) e^(-s) has no tail envelope, so every
+    # Abel range of the a1 kernel over it is unbounded. a1 = Upsilon_arcsine o
+    # P_(1/2), so the image has the Mellin transform
+    # M(s) = M_EX2(s/2) Gamma(s/2 + 1/2) M_arc(s), and its density is
+    # (1/pi) Re int_0^oo M(it) r^(-it-1) dt; |M(it)| falls like e^(-pi t/2)
+    mpmath = pytest.importorskip("mpmath")
+    ups = la.upsilon_alpha_beta(ex2_measure, -0.5, 1.0)
+    d = _density(la.arcsine1(ups))
+    assert isinstance(d, _HalfIntegralKernel)
+    with pytest.raises(NotImplementedError):
+        _density(ups).weighted_tail_radius(1e-12)
+    rs = (0.1, 0.5, 1.0, 2.5, 5.0)
+    got = d.values(np.array(rs))
+    with mpmath.workdps(20):
+        for r, g in zip(rs, got):
+            def h(t, r=mpmath.mpf(r)):
+                s = mpmath.mpc(0, t)
+                return (_m_ex2(s / 2) * mpmath.gamma(s / 2 + 0.5) * _m_arc(s)
+                        * r ** (-s - 1)).real
+            want = float(mpmath.quad(h, mpmath.linspace(0, 80, 17)) / mpmath.pi)
+            assert g == pytest.approx(want, rel=1e-12), r
 
 
 def test_inverting_just_below_an_atom(two_atoms):
