@@ -10,8 +10,11 @@ a2 o a1 of the atoms) of EX1, EX2 and the atoms {(0.5, 1), (2, 0.7)} at
 geomspace(0.05, 8, 40), each read as one values() batch and as 40 lone
 value() calls; the tails of invert_arcsine1(a1(EX1), (1e-3, 100, 9)); one
 char_fn point (z = 2) of the cos_pi_half image of ExpPower(1, -1.5, 1, 1)
-and one integral of that image. The last line is the digest of all of
-them together.
+and one integral of that image; the ladder's table_radius() of ups0(EX2);
+the tails at the same radii of the pow2 image of an EX2 table, and of
+ups_(-0.5,1)(EX2), which has no tail envelope, with a1 of that image, so
+both run untruncated; k0_integral_form at 0.1, 0.7 and 3. The last line is
+the digest of all of them together.
 """
 
 import hashlib
@@ -55,6 +58,14 @@ def main() -> None:
     emit("char_fn", cf.real, cf.imag)
     emit("integrate", [la.integrate(image.nu.components[0][1], lambda r: r * r / (1.0 + r * r),
                                     (0.0, math.inf))])
+    emit("ladder(ups0(EX2))", [la.upsilon0(sources["EX2"]).components[0][1].density.table_radius()])
+    ex2_table = la.tabulate_density(sources["EX2"].components[0][1].density)
+    squared = la.power_reparam(la.half_line_measure(density=ex2_table), 2.0)
+    emit("tail(pow2(EX2 table))", la.tail(squared.components[0][1], rs))
+    ups = la.upsilon_alpha_beta(sources["EX2"], -0.5, 1.0)
+    emit("a1(ups_-0.5,1(EX2))", la.arcsine1(ups).components[0][1].density.values(rs))
+    emit("tail(ups_-0.5,1(EX2))", la.tail(ups.components[0][1], rs))
+    emit("k0_integral_form", [la.k0_integral_form(x) for x in (0.1, 0.7, 3.0)])
     print(f"{'all':24s} {total.hexdigest()}")
 
 

@@ -106,19 +106,20 @@ class Density:
 
     def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
         """Certified R with the integral of r**moment * density over (R, oo)
-        at most tol. Requires tail_all_moments()."""
-        lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
-        raise NotImplementedError(f"{type(self).__name__} has no certified tail envelope")
+        at most tol, or math.inf where nothing certifies one. The default is
+        the support's supremum; a density with an envelope defines its own,
+        and integrals over unbounded ranges then truncate at R."""
+        return self.support[1]
 
     def table_radius(self) -> float:
-        """Upper end for tabulation and sampling grids. Heuristic range
-        selection, not a certification."""
+        """Upper end for tabulation and sampling grids (heuristic range
+        selection, not a certification). Raises NotImplementedError where
+        weighted_tail_radius certifies none; the kernels climb a ladder."""
         lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
-        return self.weighted_tail_radius(1e-13, 0.0)
+        r = hi if math.isfinite(hi) else self.weighted_tail_radius(1e-13, 0.0)
+        if math.isinf(r):
+            raise NotImplementedError(f"{type(self).__name__} has no certified tail envelope")
+        return r
 
     def provenance_name(self) -> str:
         return type(self).__name__
@@ -198,9 +199,8 @@ class ExpPowerDensity(Density):
         return math.isfinite(self.support[1]) or self.b > 0.0
 
     def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
-        lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
+        if math.isfinite(self.support[1]):
+            return self.support[1]
         # remainder beyond R:  int_R^inf c u^(a+k) e^{-b u^p} du
         #   <= e^{-(b/2) R^p} * int_1^inf c u^(a+k) e^{-(b/2) u^p} du   (R >= 1)
         env = self._envelope_const(moment)
@@ -337,9 +337,6 @@ class PowerImageDensity(Density):
         return self.base.tail_all_moments()
 
     def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
-        lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
         base_moment = 2.0 * moment if self.exponent == 2.0 else moment / 2.0
         return self.base.weighted_tail_radius(tol, base_moment) ** self.exponent
 
@@ -562,8 +559,8 @@ def integrate_batch(rc: RadialComponent, g: Callable[[np.ndarray, np.ndarray], n
     part. g_moment declares the growth of every g(., k) at infinity
     (|g(r)| <= const * r**g_moment for large r) so the infinite upper limit
     can be truncated at a radius whose certified remainder is below
-    abs_tol/10; densities without an envelope are integrated on the
-    infinite interval directly.
+    abs_tol/10; a density whose weighted_tail_radius is math.inf is
+    integrated on the infinite interval directly.
 
     Integrals that share a partition meet the same nodes, and the density
     is read at all of them in one call. A density's value at a radius must
@@ -602,11 +599,7 @@ def _density_integrals(dens: Density, g: Callable[[np.ndarray, np.ndarray], np.n
     if (hi <= lo).all():
         return np.zeros(n)
     if math.isinf(hi):
-        if dens.tail_all_moments():
-            try:
-                hi = np.maximum(lo * (1.0 + 1e-12), dens.weighted_tail_radius(abs_tol / 10.0, g_moment))
-            except NotImplementedError:
-                pass
+        hi = np.maximum(lo * (1.0 + 1e-12), dens.weighted_tail_radius(abs_tol / 10.0, g_moment))
     # break points: the density's kinks (a row per lower end) and, over a
     # long finite range, one mark per decade
     kinks = np.asarray(dens.kinks(), float)

@@ -26,20 +26,20 @@ Both apply the manipulations that recur throughout this package:
   u = a + w**2 (or u = b - w**2 at the upper end), which turns a
   (u-a)**(-1/2) blowup into a bounded smooth integrand. adaptive_quad takes
   a flag per end; the engine a list of blowups, which _cut turns into cuts
-  and mapped ends. On a finite range the substitution covers only the half
-  next to the blowup and the other half stays in u: b - w**2 resolves u
-  near a only to the absolute rounding of b, which loses an integrand whose
-  mass sits at u << b;
+  and mapped ends. _pieces splits a range with a mapped end at its midpoint
+  and maps only the half next to the blowup; the other half stays in u:
+  b - w**2 resolves u near a only to the absolute rounding of b, which loses
+  an integrand whose mass sits at u << b;
 
 * break points (kinks, decade marks), mapped through the substitution in
   force, so every subinterval starts out smooth;
 
-* infinite upper limits, either truncated beforehand at a radius certified
-  by the caller's envelope metadata or mapped to a finite range, by
+* infinite upper limits, truncated beforehand at a radius certified by the
+  caller's envelope metadata, or else mapped to a finite range, by
   x = a + t/(1 - t) in the engine and by QUADPACK's own map in
   adaptive_quad. In the engine a node whose 1 - t rounds to 0 stands for
   x = inf and carries no weight; the scale-mixture kernel's unbounded
-  u-ranges and the Abel evaluator's untruncated ones are mapped this way.
+  u-ranges and the integrals no envelope truncates are mapped this way.
 
 Tolerances are absolute, with a relative floor of 1e-12 of the value: an
 integral is accepted when its error estimate is at most
@@ -113,15 +113,6 @@ _PLAIN, _LEFT, _RIGHT, _INF = range(4)
 # variable, the piece's anchor and kind, and the qk21 value and error estimate
 _LO, _HI, _ANCHOR, _KIND, _VAL, _ERR = range(6)
 _NO_POINTS = np.empty(0)
-# the columns, among (0, 1, 2, 3, a, b, m, sqrt(m - a), sqrt(b - m)), of the
-# kind, anchor, lo and hi of a range's two pieces (see _pieces), by its
-# (singular left, singular right, infinite) flags; -1 marks no piece
-_PIECE_COLUMNS = np.full((2, 2, 2, 2, 4), -1)
-for _case, _slots in {(0, 0, 0): [(0, 4, 4, 5)], (0, 0, 1): [(-1,) * 4, (3, 4, 4, 5)],
-                      (1, 0, 0): [(1, 4, 0, 7), (0, 6, 6, 5)], (1, 0, 1): [(1, 4, 0, 7), (3, 6, 6, 5)],
-                      (0, 1, 0): [(0, 4, 4, 6), (2, 5, 0, 8)],
-                      (1, 1, 0): [(1, 4, 0, 7), (2, 5, 0, 8)]}.items():
-    _PIECE_COLUMNS[_case][:len(_slots)] = _slots
 
 
 def _split(lo: np.ndarray, hi: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -172,31 +163,34 @@ def _pieces(row: np.ndarray, a: np.ndarray, b: np.ndarray, sl: np.ndarray,
             sr: np.ndarray) -> tuple[np.ndarray, ...]:
     """The pieces of the ranges (a[i], b[i]) of rows row[i], blown up at a
     where sl and at b where sr (as _cut returns them), in order: the row,
-    kind, anchor and ends lo and hi in the piece variable t of each:
+    kind, anchor and ends lo and hi in the piece variable t of each (a, b):
 
     _PLAIN  x = t on (a, b);
-    _LEFT   x = a + t**2, t in (0, sqrt(m - a)), for a blowup at a;
-    _RIGHT  x = b - t**2, t in (0, sqrt(b - m)), for a blowup at b;
+    _LEFT   x = a + t**2, t in (0, sqrt(b - a)), for a blowup at a;
+    _RIGHT  x = b - t**2, t in (0, sqrt(b - a)), for a blowup at b;
     _INF    x = anchor + t/(1 - t) in the engine; lo and hi stay in x
             (hi = inf) and QUADPACK maps the range itself.
 
-    A finite range with a blowup at either end splits at its midpoint m, an
-    unbounded one at m = a + max(1, |a|); only a half next to a blowup is
-    mapped."""
+    A range with a blowup at either end splits at its midpoint m (an
+    unbounded one at m = a + max(1, |a|)) and each half keeps its outer
+    end's flag, so a piece has at most one mapped end."""
     inf = np.isinf(b)
-    if not np.count_nonzero(sl | sr):
+    split = sl | sr
+    if not np.count_nonzero(split):
         return row, inf * float(_INF), a, a, b
     # the map stops at the midpoint: b - t**2 resolves x near a only to the
     # absolute rounding of b, so the half away from a blowup stays plain
     mid = np.where(inf, a + np.maximum(1.0, np.abs(a)), 0.5 * (a + b))
-    values = np.empty((a.size, 9))
-    values[:, :4] = _PLAIN, _LEFT, _RIGHT, _INF
-    values[:, 4], values[:, 5], values[:, 6] = a, b, mid
-    values[:, 7], values[:, 8] = np.sqrt(mid - a), np.sqrt(b - mid)
-    cols = _PIECE_COLUMNS[sl.view(np.int8), sr.view(np.int8), inf.view(np.int8)]
-    has = cols[:, :, 0] >= 0
-    table = values[np.arange(a.size)[:, None, None], cols][has]
-    return row[has.nonzero()[0]], table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+    i = np.repeat(np.arange(a.size), split + 1)
+    upper = np.zeros(i.size, bool)  # the second half of a split range, lower the first
+    upper[1:] = i[1:] == i[:-1]
+    lower, m = split[i] ^ upper, mid[i]
+    lo, hi = np.where(upper, m, a[i]), np.where(lower, m, b[i])
+    left, right = lower & sl[i], upper & sr[i]
+    mapped = left | right
+    kind = np.where(left, _LEFT, np.where(right, _RIGHT, np.isinf(hi) * _INF))
+    return (row[i], kind, np.where(right, hi, lo), np.where(mapped, 0.0, lo),
+            np.where(mapped, np.sqrt(hi - lo), hi))
 
 
 def _piece_points(kind: np.ndarray, anchor: np.ndarray, lo: np.ndarray,

@@ -207,17 +207,13 @@ class _EllipticDilationDensity(Density):
 # ---------------------------------------------------------------------------
 
 def _rc_tail_radius(rc: RadialComponent, tol: float, moment: float = 0.0) -> float:
-    """Radius beyond which the weighted radial mass is certified below tol.
-    Raises NotImplementedError when the density has no envelope."""
+    """Radius beyond which the weighted radial mass is certified below tol:
+    the last atom or the density's weighted_tail_radius, whichever is
+    larger, so math.inf when the density has no envelope."""
     r = max((loc for loc, _ in rc.atoms), default=0.0)
     if rc.density is not None:
         r = max(r, rc.density.weighted_tail_radius(tol, moment))
     return r
-
-
-def _rc_moment(rc: RadialComponent, moment: float) -> float:
-    return integrate(rc, lambda u: u ** moment if moment else 1.0,
-                     (0.0, math.inf), abs_tol=1e-12, g_moment=moment)
 
 
 def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
@@ -254,12 +250,9 @@ def _abel_integrals(f: Density, q: float, xs: np.ndarray, abs_tol: float,
                                for s in range(0, xs.size, step)])
     lo, hi = (e ** q for e in f.support)
     his = np.full(xs.shape, hi)
-    if math.isinf(hi) and f.tail_all_moments():
-        try:
-            cut = f.weighted_tail_radius(abs_tol / (q * math.sqrt(2.0)), q / 2.0 - 1.0) ** q
-            his = np.maximum(2.0 * xs, cut)
-        except NotImplementedError:
-            pass
+    if math.isinf(hi):
+        cut = f.weighted_tail_radius(abs_tol / (q * math.sqrt(2.0)), q / 2.0 - 1.0) ** q
+        his = np.maximum(2.0 * xs, cut)
     g = f.values if q == 1.0 else lambda s: f.values(s ** (1.0 / q))
     knots = np.asarray(f.kinks(), float) ** q
     starts = np.maximum(xs, lo)
@@ -358,18 +351,13 @@ class TransformedDensity(Density):
         return self._exponent
 
     def table_radius(self) -> float:
-        try:
-            return super().table_radius()
-        except NotImplementedError:
-            return self._ladder_radius
+        r = self.weighted_tail_radius(1e-13, 0.0)
+        return r if math.isfinite(r) else self._ladder_radius
 
     @cached_property
     def _ladder_radius(self) -> float:
-        r = 1.0
-        try:
-            r = max(1.0, _rc_tail_radius(self.source, 1e-10, 0.0))
-        except NotImplementedError:
-            pass
+        r = _rc_tail_radius(self.source, 1e-10, 0.0)
+        r = max(1.0, r) if math.isfinite(r) else 1.0
         # the first r 2**k below 1e9 (r >= 1) where the density at it and at
         # 0.7 of it is at most 1e-13 over it, else the first above 1e9; the
         # whole ladder is read in one batch
@@ -409,7 +397,7 @@ class _HalfIntegralKernel(TransformedDensity):
         f = self.source.density
         if f is not None:
             total += _abel_integrals(f, 1.0, xs, INNER_ABS_TOL,
-                                     lambda i: f"{self.name} kernel at r={float(rs[i])!r}")
+                                     lambda i: f"{self.provenance_name()} kernel at r={float(rs[i])!r}")
         return self.const * total
 
     @cached_property
@@ -435,12 +423,10 @@ class _HalfIntegralKernel(TransformedDensity):
         return math.isfinite(self.support[1]) or dens is None or dens.tail_all_moments()
 
     def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
-        lo, hi = self.support
-        if math.isfinite(hi):
-            return hi
         # with q = (moment + 1)/power, the image tail beyond R is at most
         # (const/power) B(q, 1/2) times the source tail beyond R**power at
-        # moment q - 1/2; over moments >= 0 the Beta factor is largest at 0
+        # moment q - 1/2; over moments >= 0 the Beta factor is largest at 0.
+        # A finite support is the source's raised to 1/power, and so is R
         q0 = 1.0 / self.power
         c = self.const * q0 * math.gamma(q0) * math.sqrt(math.pi) / math.gamma(q0 + 0.5)
         q = (moment + 1.0) * q0
@@ -520,7 +506,7 @@ class _ScaleMixtureKernel(TransformedDensity):
 
         return quad_batch(integrand, rs.size, lo_u, hi_u, abs_tol=INNER_ABS_TOL,
                           points=points, blowups=blowups,
-                          label=lambda k: f"{self.name} kernel at r={float(rs[k])!r}")
+                          label=lambda k: f"{self.provenance_name()} kernel at r={float(rs[k])!r}")
 
     def _densities(self) -> list[Density]:
         scaled, pair = _cross_terms(self.source, self.dilation)
@@ -555,18 +541,16 @@ class _ScaleMixtureKernel(TransformedDensity):
         return math.isfinite(self.support[1]) or all(d.tail_all_moments() for d in self._densities())
 
     def weighted_tail_radius(self, tol: float, moment: float = 0.0) -> float:
-        lo, hi = self.support
-        if math.isfinite(hi):
+        # an unbounded dilation has no envelope: the support is unbounded too
+        hi, tau_hi = self.support[1], self.dilation.sup_support
+        if math.isfinite(hi) or math.isinf(tau_hi):
             return hi
-        tau_hi = self.dilation.sup_support
-        if math.isfinite(tau_hi):
-            scale = self._dilation_mass * tau_hi ** moment
-            return tau_hi * _rc_tail_radius(self.source, tol / max(scale, 1e-300), moment)
-        raise NotImplementedError("no certified tail envelope for this dilation")
+        scale = self._dilation_mass * tau_hi ** moment
+        return tau_hi * _rc_tail_radius(self.source, tol / max(scale, 1e-300), moment)
 
     @cached_property
     def _dilation_mass(self) -> float:
-        return _rc_moment(self.dilation, 0.0)
+        return integrate(self.dilation, lambda u: 1.0, (0.0, math.inf), abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

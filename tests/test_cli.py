@@ -179,6 +179,14 @@ def test_invert_non_image_maps_to_exit_3(workdir, capsys):
     assert err["error"] == "NotInRange"
 
 
+def test_invert_component_without_density_maps_to_exit_3(workdir, capsys):
+    doc = {"d": 1, "components": [{"direction": [1.0], "weight": 1.0, "atoms": []}]}
+    (workdir / "empty.json").write_text(json.dumps(doc))
+    assert run("invert", "--in", workdir / "empty.json", "--out", workdir / "x") == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "NotInRange" and "component 0 has no density" in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

@@ -375,6 +375,27 @@ def test_density_defining_neither_value_nor_values_raises():
         Bare().value(1.0)
 
 
+class _NoEnvelope(Density):
+    """(1 + r)^(-2.5) on (0, oo), with no tail envelope declared."""
+
+    def values(self, rs):
+        r = np.asarray(rs, float)
+        return np.where(r > 0.0, (1.0 + np.abs(r)) ** -2.5, 0.0)
+
+
+def test_density_without_an_envelope_certifies_no_tail_radius():
+    # no certified radius is math.inf, so integrals run on the whole
+    # unbounded range, while a grid end cannot be chosen
+    d = _NoEnvelope()
+    assert d.weighted_tail_radius(1e-12) == math.inf
+    assert d.weighted_tail_radius(1e-12, 2.0) == math.inf
+    with pytest.raises(NotImplementedError, match="no certified tail envelope"):
+        d.table_radius()
+    us = np.array([0.5, 2.0, 10.0])
+    got = la.tail(la.RadialComponent((), d), us)
+    assert np.all(np.abs(got - (1.0 + us) ** -1.5 / 1.5) <= 1e-10), got
+
+
 def test_integrate_calls_g_on_arrays():
     # the atom's radius as a one-element array, the density part on arrays of nodes
     seen = []
