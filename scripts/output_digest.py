@@ -9,8 +9,10 @@ The set: a1, a2, ups0, arcsine2_direct, a1 o ups0, ups_(-2,2) o a1 (and
 a2 o a1 of the atoms) of EX1, EX2 and the atoms {(0.5, 1), (2, 0.7)} at
 geomspace(0.05, 8, 40), each read as one values() batch and as 40 lone
 value() calls; the tails of invert_arcsine1(a1(EX1), (1e-3, 100, 9)); one
-char_fn point (z = 2) of the cos_pi_half image of ExpPower(1, -1.5, 1, 1)
-and one integral of that image; the ladder's table_radius() of ups0(EX2);
+char_fn point (z = 2) of the cos_pi_half image of ExpPower(1, -1.5, 1, 1),
+the real and imaginary parts of its exponent integrated over the image
+itself (the nested route, which char_fn folds into the source), and one
+integral of that image; the cos_pi_half drift of a d = 2 atom triplet; the ladder's table_radius() of ups0(EX2);
 the tails at the same radii of the pow2 image of an EX2 table, and of
 ups_(-0.5,1)(EX2), which has no tail envelope, with a1 of that image, so
 both run untruncated; k0_integral_form at 0.1, 0.7 and 3. The last line is
@@ -23,6 +25,7 @@ import math
 import numpy as np
 
 import levyarc as la
+from levyarc.measures import integrate_batch
 
 
 def main() -> None:
@@ -56,6 +59,20 @@ def main() -> None:
         density=la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0)), [0.0]), "cos_pi_half")
     cf = np.asarray(la.char_fn_grid(image, [[2.0]]).values)
     emit("char_fn", cf.real, cf.imag)
+
+    def cf_integrand(r, k):
+        # k = 0 the real part of the exponent at z = 2, k = 1 the imaginary one
+        rs = 2.0 * r
+        return np.where(k == 0, np.cos(rs) - 1.0, np.sin(rs) - rs / (1.0 + r * r))
+
+    emit("char_fn nested", integrate_batch(image.nu.components[0][1], cf_integrand, 2,
+                                           (0.0, math.inf), abs_tol=1e-10, g_moment=0.0))
+    plane = la.PolarMeasure(2, tuple(
+        (la.Direction.normalized(d), la.RadialComponent(atoms, None, w)) for d, atoms, w in (
+            ((1.0, 0.0), ((0.7, 0.3),), 0.5), ((0.0, 1.0), ((0.2, 1.0), (1.3, 0.4), (3.0, 0.1)), 1.2),
+            ((-1.0, 1.0), ((1e-3, 2.0), (40.0, 0.01)), 0.8))))
+    emit("drift(atoms, d=2)", la.transform_triplet(la.Triplet(np.zeros((2, 2)), plane, [0.2, 0.1]),
+                                                   "cos_pi_half").gamma)
     emit("integrate", [la.integrate(image.nu.components[0][1], lambda r: r * r / (1.0 + r * r),
                                     (0.0, math.inf))])
     emit("ladder(ups0(EX2))", [la.upsilon0(sources["EX2"]).components[0][1].density.table_radius()])

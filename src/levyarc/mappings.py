@@ -29,8 +29,12 @@ gives e^(-u^2) du.
 Each operation is one engine batch: transform_triplet solves the drift
 integrals of all polar components as one batch over tau_f, and char_exponent
 solves the real and imaginary integrals of all points as one batch per
-direction. An integral's value does not depend on the rest of its batch, so
-the results are those of one integral at a time.
+direction. Under the arcsine dilation both integrate over tau_f in closed
+form and against the driver instead (Fubini): the drift takes
+(2/pi) [asinh(r)/hypot(1, r) - r/(1+r^2)] against nu, and an arcsine image's
+exponent is one batch over its source, with cos and sin averaged to J0 and
+the Struve function H0. An integral's value does not depend on the rest of
+its batch, so the results are those of one integral at a time.
 """
 
 from __future__ import annotations
@@ -40,15 +44,19 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcinv
+from scipy.special import erfc, erfcinv, j0, y0
 
 from .errors import GridMismatch, MalformedMeasure
 from .measures import (ExpPowerDensity, PolarMeasure, RadialComponent,
-                       from_json, integrate_batch, to_json, validate)
-from .transforms import (DilationMeasure, arcsine_dilation, exp_dilation,
-                         power_exp_dilation, upsilon_tau)
+                       from_json, integrate, integrate_batch, to_json, validate)
+from .transforms import (TWO_OVER_PI, DilationMeasure, _ScaleMixtureKernel,
+                         arcsine_dilation, exp_dilation, power_exp_dilation, upsilon_tau)
 
 SQRT_PI = math.sqrt(math.pi)
+# _struve_h0's tables: the power series' coefficients c_k = -c_(k-1)/(2k+1)^2
+# to k = 17, and the 40-point Gauss-Laguerre rule
+_H0_SERIES = np.cumprod(np.r_[1.0, -1.0 / np.arange(3.0, 36.0, 2.0) ** 2])
+_LAGUERRE = np.polynomial.laguerre.laggauss(40)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +200,22 @@ class Triplet:
 # characteristic functions
 # ---------------------------------------------------------------------------
 
+def _struve_h0(x: np.ndarray) -> np.ndarray:
+    """The Struve function H0: (2/pi) sum_k c_k x^(2k+1) below |x| = 4, and
+    from there on sign(x) [Y0(|x|) + (2/pi) int_0^oo e^(-u) (x^2 + u^2)^(-1/2) du]
+    with the integral by Gauss-Laguerre; within 2e-15 of mpmath on [0, 300].
+    scipy's struve takes about 4 us a point below 4 and reads NaN within about
+    1e-6 (relative) of each zero of H0."""
+    out, a = np.empty_like(x), np.abs(x)
+    near = a < 4.0
+    xn = x[near]
+    out[near] = TWO_OVER_PI * xn * np.polynomial.polynomial.polyval(xn * xn, _H0_SERIES)
+    a = a[~near]
+    laplace = sum(w / np.hypot(a, u) for u, w in zip(*_LAGUERRE))
+    out[~near] = np.sign(x[~near]) * (y0(a) + TWO_OVER_PI * laplace)
+    return out
+
+
 def char_exponent(t: Triplet, z: Sequence[float] | np.ndarray, *,
                   abs_tol: float = 1e-10) -> complex | np.ndarray:
     """log of the characteristic function at z:
@@ -202,7 +226,9 @@ def char_exponent(t: Triplet, z: Sequence[float] | np.ndarray, *,
     is a complex number or an array of n of them. Per direction, the real
     and the imaginary radial integrals of all points are solved as one
     batch of 2n integrals, so a kernel density is read once per distinct
-    node (see integrate_batch).
+    node (see integrate_batch). A component that is an atom-free arcsine
+    image is integrated over the kernel's source instead, with the
+    integrand averaged over the dilation in closed form.
     """
     zv = np.asarray(z, float)
     single = zv.ndim <= 1
@@ -220,9 +246,26 @@ def char_exponent(t: Triplet, z: Sequence[float] | np.ndarray, *,
         def g(r: np.ndarray, k: np.ndarray) -> np.ndarray:
             # integrals k < n are the real parts, n <= k < 2n the imaginary ones
             rs = r * s[k % n]
-            return np.where(k < n, np.cos(rs) - 1.0, np.sin(rs) - rs / (1.0 + r * r))
+            with np.errstate(over="ignore"):
+                rr = r * r
+            return np.where(k < n, np.cos(rs) - 1.0, np.sin(rs) - rs / (1.0 + rr))
 
-        both = integrate_batch(rc, g, 2 * n, (0.0, math.inf), abs_tol=abs_tol, g_moment=0.0)
+        def folded(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+            # g averaged over the arcsine dilation, at the source radius v:
+            # J0(v s) - 1, and H0(v s) - s (2/pi) asinh(v)/hypot(1, v) with the
+            # Struve function H0 read on the nodes of the imaginary parts only;
+            # both terms round to (2/pi) v s alike, so their difference is 0
+            # where v and |v s| are below 1e-8, as the nested integrand's is
+            x, im = v * s[k % n], k >= n
+            out = j0(x) - 1.0
+            v = v[im]
+            out[im] = _struve_h0(x[im]) - TWO_OVER_PI * (s[k[im] - n] * np.arcsinh(v)) / np.hypot(1.0, v)
+            return out
+
+        over, dens = rc, rc.density
+        if not rc.atoms and isinstance(dens, _ScaleMixtureKernel) and dens.dilation == arcsine_dilation():
+            over, g = dens.source, folded
+        both = integrate_batch(over, g, 2 * n, (0.0, math.inf), abs_tol=abs_tol, g_moment=0.0)
         val = val + rc.weight * (both[:n] + 1j * both[n:])
     return complex(val[0]) if single else val
 
@@ -271,8 +314,9 @@ def _centering_shift(rc, us: np.ndarray, abs_tol: float) -> np.ndarray:
     uu = us * us
 
     def g(r: np.ndarray, k: np.ndarray) -> np.ndarray:
-        rr = r * r
-        return r * (1.0 / (1.0 + uu[k] * rr) - 1.0 / (1.0 + rr))
+        with np.errstate(over="ignore"):
+            rr = r * r
+            return r * (1.0 / (1.0 + uu[k] * rr) - 1.0 / (1.0 + rr))
 
     return integrate_batch(rc, g, us.size, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
 
@@ -299,8 +343,9 @@ def _drift_integrand(comps: Sequence[RadialComponent], abs_tol: float):
         # rank among the copies of its node
         atom = np.arange(node.size) + np.repeat(first[ks] - (np.cumsum(reps) - reps), reps)
         r = locs[atom]
-        rr = r * r
-        terms = r * (1.0 / (1.0 + (us * us)[node] * rr) - 1.0 / (1.0 + rr)) * masses[atom]
+        with np.errstate(over="ignore"):
+            rr = r * r
+            terms = r * (1.0 / (1.0 + (us * us)[node] * rr) - 1.0 / (1.0 + rr)) * masses[atom]
         shift = np.bincount(node, terms, minlength=us.size).astype(float, copy=False)
         for c, dens in densities:
             sel = np.flatnonzero(ks == c)
@@ -309,6 +354,23 @@ def _drift_integrand(comps: Sequence[RadialComponent], abs_tol: float):
         return us * shift
 
     return g
+
+
+def _arcsine_drift(comps: Sequence[RadialComponent]) -> np.ndarray:
+    """Each component's drift integral over the arcsine dilation, taken against
+    nu: atoms summed in closed form, and one integral per density."""
+    def g(r: np.ndarray) -> np.ndarray:
+        h = np.hypot(1.0, r)
+        return TWO_OVER_PI * (np.arcsinh(r) - r / h) / h
+
+    owner, locs, masses = np.array([(c, *a) for c, rc in enumerate(comps) for a in rc.atoms]
+                                   ).reshape(-1, 3).T
+    out = np.bincount(owner.astype(int), g(locs) * masses, minlength=len(comps)).astype(float)
+    for c, rc in enumerate(comps):
+        if rc.density is not None:
+            out[c] += integrate(RadialComponent((), rc.density), g, (0.0, math.inf),
+                                abs_tol=1e-12, g_moment=0.0)
+    return out
 
 
 def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:
@@ -321,15 +383,18 @@ def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:
     integrand against the centering defect. The corrections of all polar
     components are solved as one batch over the dilation measure; each is
     independent of the others, so the batch gives the values one integral
-    per component would."""
+    per component would. Over the arcsine dilation (cos_pi_half) the
+    dilation integral is done in closed form and the drift is taken
+    against nu directly."""
     spec = integrand(f)
     sigma_out = spec.sq_integral * t.Sigma
     nu_out = upsilon_tau(t.nu, spec.tau()) if not t.nu.is_zero() else t.nu
     gamma_out = spec.lin_integral * t.gamma.copy()
     if not t.nu.is_zero():
         comps = [rc for _, rc in t.nu.components]
-        vals = integrate_batch(spec.tau(), _drift_integrand(comps, 1e-12), len(comps),
-                               (0.0, math.inf), abs_tol=1e-10, g_moment=1.0)
+        vals = _arcsine_drift(comps) if spec.tau() == arcsine_dilation() else integrate_batch(
+            spec.tau(), _drift_integrand(comps, 1e-12), len(comps), (0.0, math.inf),
+            abs_tol=1e-10, g_moment=1.0)
         corr = np.zeros(t.d)
         for (dirn, rc), val in zip(t.nu.components, vals):
             corr += rc.weight * val * dirn.array

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import levyarc as la
 from levyarc.errors import GridMismatch, MalformedMeasure
-from levyarc.mappings import (_centering_shift, char_exponent, gauss_tail, gauss_tail_inverse,
-                              integrand)
+from levyarc.mappings import (_arcsine_drift, _centering_shift, _struve_h0, char_exponent,
+                              gauss_tail, gauss_tail_inverse, integrand)
 from levyarc.quadrature import adaptive_quad
 from levyarc.transforms import _ChainKernel, _ScaleMixtureKernel
 
@@ -201,16 +201,36 @@ def _gamma_component_by_component(t, f):
     return spec.lin_integral * t.gamma + corr
 
 
+def _gamma_folded_component_by_component(t):
+    # the cos_pi_half drift taken against each component's nu on its own
+    spec = integrand("cos_pi_half")
+    corr = np.zeros(t.d)
+    for dirn, rc in t.nu.components:
+        corr += rc.weight * _arcsine_drift([rc])[0] * dirn.array
+    return spec.lin_integral * t.gamma + corr
+
+
 @pytest.mark.parametrize("f", ["cos_pi_half", "log", "log_sqrt", "gauss_tail_inverse",
                                _step_spec("step", [0.5, 2.0])], ids=lambda f: getattr(f, "name", f))
 def test_transform_triplet_drift_batch_matches_component_loop(f):
-    # one batch over all components gives each component's own integral, bit for bit
+    # one batch over all components gives each component's own integral, bit
+    # for bit; the arcsine dilation's drift is folded into nu, so it is
+    # compared bit for bit with the folded loop and with the nested
+    # integrals over the dilation within 1e-12
     t = _mixed_components_triplet()
     out = la.transform_triplet(t, f)
-    assert out.gamma.tobytes() == _gamma_component_by_component(t, f).tobytes()
+    nested = _gamma_component_by_component(t, f)
+    if f == "cos_pi_half":
+        assert out.gamma.tobytes() == _gamma_folded_component_by_component(t).tobytes()
+        assert np.max(np.abs(out.gamma - nested)) <= 1e-12
+    else:
+        assert out.gamma.tobytes() == nested.tobytes()
 
 
 def test_transform_triplet_drift_is_one_engine_call(monkeypatch):
+    # the drift of 256 atom components is one engine batch over a dilation,
+    # and none at all over the arcsine dilation, whose atoms are summed in
+    # closed form
     from levyarc import measures, transforms
 
     calls = []
@@ -225,24 +245,128 @@ def test_transform_triplet_drift_is_one_engine_call(monkeypatch):
                   for a in np.sort(ang))
     t = la.Triplet(np.zeros((2, 2)), la.PolarMeasure(2, comps), [0.0, 0.0])
     out = la.transform_triplet(t, "cos_pi_half")
+    assert len(calls) == 0
+    assert out.gamma.tobytes() == _gamma_folded_component_by_component(t).tobytes()
+    out = la.transform_triplet(t, "log")
     assert len(calls) == 1
-    assert out.gamma.tobytes() == _gamma_component_by_component(t, "cos_pi_half").tobytes()
+    assert out.gamma.tobytes() == _gamma_component_by_component(t, "log").tobytes()
 
 
 def test_char_exponent_solves_real_and_imaginary_parts_together(ex2_measure):
-    # the one batch of 2n integrals equals a real and an imaginary integral per point
+    # the one batch of 2n integrals equals the exponent of each point alone,
+    # and the per-point real and imaginary integrals over the image itself
     t = la.transform_triplet(la.Triplet([[0.0]], ex2_measure, [0.0]), "cos_pi_half")
     (dirn, rc), = t.nu.components
     zs = np.array([[0.3], [1.7], [4.2]])
     got = char_exponent(t, zs)
     for z, v in zip(zs, got):
+        assert v == char_exponent(t, z)
         s = float(z @ dirn.array)
         re = la.integrate(rc, lambda r: np.cos(r * s) - 1.0, (0.0, math.inf),
                           abs_tol=1e-10, g_moment=0.0)
         im = la.integrate(rc, lambda r: np.sin(r * s) - r * s / (1.0 + r * r), (0.0, math.inf),
                           abs_tol=1e-10, g_moment=0.0)
         want = (-0.5 * float(z @ t.Sigma @ z) + 1j * float(z @ t.gamma)) + rc.weight * (re + 1j * im)
-        assert v == want
+        assert abs(v - want) <= 1e-12
+
+
+def _nested_exponent(t, zs):
+    # the exponent with every radial integral taken over the image measure
+    # itself, as one batch of real and imaginary parts per direction
+    from levyarc.measures import integrate_batch
+
+    n = len(zs)
+    val = -0.5 * np.einsum("ni,ij,nj->n", zs, t.Sigma, zs) + 1j * (zs @ t.gamma)
+    for dirn, rc in t.nu.components:
+        s = zs @ dirn.array
+
+        def g(r, k):
+            rs = r * s[k % n]
+            return np.where(k < n, np.cos(rs) - 1.0, np.sin(rs) - rs / (1.0 + r * r))
+
+        both = integrate_batch(rc, g, 2 * n, (0.0, math.inf), abs_tol=1e-10, g_moment=0.0)
+        val = val + rc.weight * (both[:n] + 1j * both[n:])
+    return val
+
+
+# 2.4475746070544795 puts a node of the ExpPower image's exponent within 1e-6
+# of a zero of H0, where scipy's struve reads NaN
+FOLD_ZS = (-4.2, 0.3, 1.7, 2.4475746070544795, 4.2, 10.0, 30.0)
+
+
+@pytest.mark.parametrize("case", ["exp_power", "ex2", "atoms_and_density", "mixed_d2"])
+def test_char_exponent_of_an_arcsine_image_matches_the_nested_integrals(case, ex2_measure):
+    # char_exponent reads an arcsine image through its source, with the
+    # integrand averaged over the dilation in closed form (J0 and Struve H0)
+    dens = la.ExpPowerDensity(1.0, -1.5, 1.0, 1.0)
+    if case == "mixed_d2":
+        mixed = _mixed_components_triplet()
+        nu = la.PolarMeasure(2, mixed.nu.components[:4])
+        t = la.Triplet(mixed.Sigma, nu, mixed.gamma)
+        zs = np.array([[0.6 * z, 0.8 * z] for z in FOLD_ZS])
+    else:
+        nu = {"exp_power": la.half_line_measure(density=dens), "ex2": ex2_measure,
+              "atoms_and_density": la.half_line_measure(atoms=[(0.7, 0.3)], density=dens)}[case]
+        t = la.Triplet([[0.0]], nu, [0.0])
+        zs = np.array([[z] for z in FOLD_ZS])
+    out = la.transform_triplet(t, "cos_pi_half")
+    assert np.max(np.abs(char_exponent(out, zs) - _nested_exponent(out, zs))) <= 1e-12
+
+
+def test_char_exponent_of_the_arcsine_image_of_an_atom_is_bessel_and_struve():
+    # X Poisson with jumps 1: int_0^1 cos(pi t/2) dX_t has exponent
+    # J0(z) - 1 + i (H0(z) - z/pi), the drift included
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    t = la.Triplet([[0.0]], la.half_line_measure(atoms=[(1.0, 1.0)]), [0.0])
+    out = la.transform_triplet(t, "cos_pi_half")
+    for z in (-4.0, 0.3, 2.0, 7.0, 26.3):
+        x = mpmath.mpf(abs(z))
+        h0 = math.copysign(1.0, z) * float(mpmath.struveh(0, x))   # H0 is odd
+        want = complex(float(mpmath.besselj(0, x)) - 1.0, h0 - z / math.pi)
+        assert abs(char_exponent(out, [z]) - want) <= 1e-13
+
+
+def test_struve_h0_against_mpmath():
+    # both branches, the switch at 4, zeros of H0 (4.3332, 25.7654), where
+    # scipy's struve reads NaN, negative and tiny arguments
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    xs = np.array([0.0, 1e-300, 1e-8, 0.3, 2.0, np.nextafter(4.0, 0.0), 4.0, 4.333238,
+                   13.140495, 25.76536948346065, 26.3, 100.5, 300.0, -0.7, -7.3])
+    for x, h in zip(xs, _struve_h0(xs)):
+        want = math.copysign(1.0, x) * float(mpmath.struveh(0, mpmath.mpf(abs(x))))
+        assert abs(h - want) <= (1e-15 * abs(want) if abs(x) < 1.0 else 5e-15)
+
+
+def test_char_exponent_of_the_arcsine_image_of_a_table_above_zero():
+    # the arcsine kernel of this table raises at r = 0.00106 (README known
+    # failures); the exponent of its image, read through the table, equals
+    # the time integral of the table's own exponent along cos(pi t/2)
+    table = la.tabulate_density(la.ExpPowerDensity(1.0, 0.0, 1.0, 1.0), 1e-3, 30.0)
+    t = la.Triplet([[0.0]], la.half_line_measure(density=table), [0.0])
+    out = la.transform_triplet(t, "cos_pi_half")
+    zs = np.array([0.5, 2.0, 4.0])
+    x, w = np.polynomial.legendre.leggauss(40)
+    pts = (zs[:, None] * np.cos(0.25 * math.pi * (x + 1.0))).reshape(-1, 1)
+    want = (char_exponent(t, pts).reshape(zs.size, x.size) * (0.5 * w)).sum(axis=1)
+    assert np.max(np.abs(char_exponent(out, zs[:, None]) - want)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f", ["cos_pi_half", "log"])
+def test_triplet_calculus_of_a_huge_atom_does_not_overflow(f):
+    # 1e200 squared overflows; the closed forms use hypot, and the nested
+    # integrands let r^2 go to inf, where 1/(1 + r^2) reads 0 as it should
+    t = la.Triplet([[0.0]], la.half_line_measure(atoms=[(1.0, 1.0), (1e200, 1e-30)]), [0.0])
+    out = la.transform_triplet(t, f)
+    if f == "cos_pi_half":
+        drift = (2.0 / math.pi) * (math.asinh(1.0) / math.sqrt(2.0) - 0.5)
+        assert out.gamma[0] == pytest.approx(drift, rel=1e-15)
+    for v in la.char_fn_grid(out, [[-3.0], [0.5], [2.0]]).values:
+        assert cmath.isfinite(v) and abs(v) <= 1.0
+    assert cmath.isfinite(la.char_fn(t, [2.0]))
+
 
 # ---------------------------------------------------------------------------
 # integrand catalog
@@ -354,8 +478,9 @@ def _ex2_cos_exponent_by_time_integral(z):
 
 
 def test_char_fn_of_ex2_under_cos_integrand(ex2_measure):
-    # the image density is arcsine2(EX2), which blows up like r^(-1/2); the
-    # outer integral reaches r ~ 1e-14, where the kernel must still converge
+    # the image density is arcsine2(EX2), which blows up like r^(-1/2);
+    # char_fn reads it through EX2 with the dilation integrated out, and the
+    # time integral below takes neither that route nor the kernel's
     t = la.transform_triplet(la.Triplet([[0.0]], ex2_measure, [0.0]), "cos_pi_half")
     zs = [(0.5,), (1.0,), (3.0,)]
     ref = la.char_fn_grid(t, zs)
