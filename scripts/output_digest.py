@@ -12,7 +12,8 @@ value() calls; the tails of invert_arcsine1(a1(EX1), (1e-3, 100, 9)); one
 char_fn point (z = 2) of the cos_pi_half image of ExpPower(1, -1.5, 1, 1),
 the real and imaginary parts of its exponent integrated over the image
 itself (the nested route, which char_fn folds into the source), and one
-integral of that image; the cos_pi_half drift of a d = 2 atom triplet; the ladder's table_radius() of ups0(EX2);
+integral of that image; the cos_pi_half and the log drift of a d = 2 atom
+triplet; the ladder's table_radius() of ups0(EX2);
 the tails at the same radii of the pow2 image of an EX2 table, and of
 ups_(-0.5,1)(EX2), which has no tail envelope, with a1 of that image, so
 both run untruncated; k0_integral_form at 0.1, 0.7 and 3. The last line is
@@ -71,8 +72,9 @@ def main() -> None:
         (la.Direction.normalized(d), la.RadialComponent(atoms, None, w)) for d, atoms, w in (
             ((1.0, 0.0), ((0.7, 0.3),), 0.5), ((0.0, 1.0), ((0.2, 1.0), (1.3, 0.4), (3.0, 0.1)), 1.2),
             ((-1.0, 1.0), ((1e-3, 2.0), (40.0, 0.01)), 0.8))))
-    emit("drift(atoms, d=2)", la.transform_triplet(la.Triplet(np.zeros((2, 2)), plane, [0.2, 0.1]),
-                                                   "cos_pi_half").gamma)
+    plane_triplet = la.Triplet(np.zeros((2, 2)), plane, [0.2, 0.1])
+    emit("drift(atoms, d=2)", la.transform_triplet(plane_triplet, "cos_pi_half").gamma)
+    emit("log drift(atoms, d=2)", la.transform_triplet(plane_triplet, "log").gamma)
     emit("integrate", [la.integrate(image.nu.components[0][1], lambda r: r * r / (1.0 + r * r),
                                     (0.0, math.inf))])
     emit("ladder(ups0(EX2))", [la.upsilon0(sources["EX2"]).components[0][1].density.table_radius()])

@@ -8,9 +8,8 @@ centering. The mapping induced by integrating a deterministic function f over
     Sigma_out = (int_0^T f^2) * Sigma
     nu_out    = scale mixture of nu by tau_f, the image of Lebesgue measure
                 on [0, T] under |f|
-    gamma_out = (int_0^T f) * gamma + int u * C(u) tau_f(du),
-    C(u)      = sum_xi w_xi * xi * int r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ]
-                nu_xi(dr)
+    gamma_out = (int_0^T f) * gamma + sum_xi w_xi * xi * int D(r) nu_xi(dr),
+    D(r)      = int u r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ] tau_f(du)
 
 Four integrands are registered, each with its exact dilation measure and the
 closed-form constants the formulas need:
@@ -26,15 +25,16 @@ the triplet calculus to the second arcsine transform; log gives the
 exponential dilation, log_sqrt gives 2 s e^(-s^2) ds, and gauss_tail_inverse
 gives e^(-u^2) du.
 
-Each operation is one engine batch: transform_triplet solves the drift
-integrals of all polar components as one batch over tau_f, and char_exponent
-solves the real and imaginary integrals of all points as one batch per
-direction. Under the arcsine dilation both integrate over tau_f in closed
-form and against the driver instead (Fubini): the drift takes
-(2/pi) [asinh(r)/hypot(1, r) - r/(1+r^2)] against nu, and an arcsine image's
-exponent is one batch over its source, with cos and sin averaged to J0 and
-the Struve function H0. An integral's value does not depend on the rest of
-its batch, so the results are those of one integral at a time.
+The drift takes the centering defect D against nu (Fubini): the atoms of
+all polar components go through one evaluation of D, which is one engine
+batch over tau_f with one integral per radius, and each density is one
+integral against nu. Under the arcsine dilation D is in closed form,
+(2/pi) [asinh(r)/hypot(1, r) - r/(1+r^2)]. char_exponent solves the real and
+imaginary integrals of all points as one batch per direction, and an
+arcsine image's exponent as one batch over its source, with cos and sin
+averaged over the dilation to J0 and the Struve function H0. An integral's
+value does not depend on the rest of its batch, so the results are those
+of one integral at a time.
 """
 
 from __future__ import annotations
@@ -308,67 +308,42 @@ def char_fn_grid(t: Triplet, zs: Sequence[Sequence[float]], *,
 # the triplet transform
 # ---------------------------------------------------------------------------
 
-def _centering_shift(rc, us: np.ndarray, abs_tol: float) -> np.ndarray:
-    """int r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ] against one radial measure,
-    for every u of an array, as one batch (exactly 0 at u = 1)."""
-    uu = us * us
+def _centering_defect(tau: DilationMeasure) -> Callable[[np.ndarray], np.ndarray]:
+    """D(r) = int u r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ] tau(du) on an array
+    of radii, written as u (1-u^2)/(1+(u r)^2) times r (r/hypot(1, r))^2 so
+    that it keeps its relative accuracy where it is O(r^3): one batch over
+    tau with one integral per radius. Over the arcsine dilation it is the closed form
+    (2/pi) [asinh(r) - r/h]/h, h = hypot(1, r), whose bracket is summed as
+    its series r^3/3 - 3r^5/10 + 15r^7/56 - 35r^9/144 below r = 1e-2."""
+    if tau == arcsine_dilation():
+        def closed(r: np.ndarray) -> np.ndarray:
+            h, x = np.hypot(1.0, r), np.minimum(r, 1e-2)
+            xx = x * x
+            series = x * xx * (1.0 / 3.0 + xx * (-0.3 + xx * (15.0 / 56.0 - xx * (35.0 / 144.0))))
+            return TWO_OVER_PI * np.where(r < 1e-2, series, np.arcsinh(r) - r / h) / h
+        return closed
 
-    def g(r: np.ndarray, k: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            rr = r * r
-            return r * (1.0 / (1.0 + uu[k] * rr) - 1.0 / (1.0 + rr))
+    def defect(r: np.ndarray) -> np.ndarray:
+        scale = r * (r / np.hypot(1.0, r)) ** 2
 
-    return integrate_batch(rc, g, us.size, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
+        def g(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+            with np.errstate(over="ignore"):
+                return u * (1.0 - u * u) / (1.0 + (u * r[k]) ** 2) * scale[k]
 
+        return integrate_batch(tau, g, r.size, (0.0, math.inf), abs_tol=1e-10, g_moment=1.0)
 
-def _drift_integrand(comps: Sequence[RadialComponent], abs_tol: float):
-    """g(u, k) = u * (centering shift of comps[k] at u), on arrays of nodes u
-    and component indices k.
-
-    The atoms of all components are evaluated at once: each node is repeated
-    once per atom of its component and the terms are summed back in atom
-    order, the order integrate_batch adds them in. A component's density
-    part goes through _centering_shift on the nodes of that component."""
-    counts = np.array([len(rc.atoms) for rc in comps])
-    first = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    locs = np.array([loc for rc in comps for loc, _ in rc.atoms])
-    masses = np.array([mass for rc in comps for _, mass in rc.atoms])
-    densities = [(c, RadialComponent((), rc.density)) for c, rc in enumerate(comps)
-                 if rc.density is not None]
-
-    def g(us: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        reps = counts[ks]
-        node = np.repeat(np.arange(us.size), reps)
-        # the atom of each copy: its component's first atom plus the copy's
-        # rank among the copies of its node
-        atom = np.arange(node.size) + np.repeat(first[ks] - (np.cumsum(reps) - reps), reps)
-        r = locs[atom]
-        with np.errstate(over="ignore"):
-            rr = r * r
-            terms = r * (1.0 / (1.0 + (us * us)[node] * rr) - 1.0 / (1.0 + rr)) * masses[atom]
-        shift = np.bincount(node, terms, minlength=us.size).astype(float, copy=False)
-        for c, dens in densities:
-            sel = np.flatnonzero(ks == c)
-            if sel.size:
-                shift[sel] += _centering_shift(dens, us[sel], abs_tol)
-        return us * shift
-
-    return g
+    return defect
 
 
-def _arcsine_drift(comps: Sequence[RadialComponent]) -> np.ndarray:
-    """Each component's drift integral over the arcsine dilation, taken against
-    nu: atoms summed in closed form, and one integral per density."""
-    def g(r: np.ndarray) -> np.ndarray:
-        h = np.hypot(1.0, r)
-        return TWO_OVER_PI * (np.arcsinh(r) - r / h) / h
-
+def _drift(comps: Sequence[RadialComponent], D: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Each component's drift integral int D(r) nu(dr): the atoms of all
+    components through one call of D, and one integral per density."""
     owner, locs, masses = np.array([(c, *a) for c, rc in enumerate(comps) for a in rc.atoms]
                                    ).reshape(-1, 3).T
-    out = np.bincount(owner.astype(int), g(locs) * masses, minlength=len(comps)).astype(float)
+    out = np.bincount(owner.astype(int), D(locs) * masses, minlength=len(comps)).astype(float)
     for c, rc in enumerate(comps):
         if rc.density is not None:
-            out[c] += integrate(RadialComponent((), rc.density), g, (0.0, math.inf),
+            out[c] += integrate(RadialComponent((), rc.density), D, (0.0, math.inf),
                                 abs_tol=1e-12, g_moment=0.0)
     return out
 
@@ -377,24 +352,19 @@ def transform_triplet(t: Triplet, f: IntegrandSpec | str) -> Triplet:
     """Triplet of the law of the integral of f against the Levy process whose
     time-1 law has triplet t.
 
-    The drift correction integrates, over the dilation measure, the mismatch
-    between the centering term evaluated at scaled and unscaled jump sizes;
-    that is the change-of-variables form of the time integral of the
-    integrand against the centering defect. The corrections of all polar
-    components are solved as one batch over the dilation measure; each is
-    independent of the others, so the batch gives the values one integral
-    per component would. Over the arcsine dilation (cos_pi_half) the
-    dilation integral is done in closed form and the drift is taken
-    against nu directly."""
+    The drift correction is the time integral of the integrand against the
+    centering defect. By Fubini it is int D(r) nu(dr), with D(r) the defect
+    between the centering at scaled and at unscaled jump sizes averaged over
+    the dilation measure (see _centering_defect): the atoms of all polar
+    components go through one evaluation of D, and each density is one
+    integral against nu. Over the arcsine dilation (cos_pi_half) D is in
+    closed form and the drift makes no engine call for atoms."""
     spec = integrand(f)
     sigma_out = spec.sq_integral * t.Sigma
     nu_out = upsilon_tau(t.nu, spec.tau()) if not t.nu.is_zero() else t.nu
     gamma_out = spec.lin_integral * t.gamma.copy()
     if not t.nu.is_zero():
-        comps = [rc for _, rc in t.nu.components]
-        vals = _arcsine_drift(comps) if spec.tau() == arcsine_dilation() else integrate_batch(
-            spec.tau(), _drift_integrand(comps, 1e-12), len(comps), (0.0, math.inf),
-            abs_tol=1e-10, g_moment=1.0)
+        vals = _drift([rc for _, rc in t.nu.components], _centering_defect(spec.tau()))
         corr = np.zeros(t.d)
         for (dirn, rc), val in zip(t.nu.components, vals):
             corr += rc.weight * val * dirn.array

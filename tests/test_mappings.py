@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import levyarc as la
 from levyarc.errors import GridMismatch, MalformedMeasure
-from levyarc.mappings import (_arcsine_drift, _centering_shift, _struve_h0, char_exponent,
+from levyarc.mappings import (_centering_defect, _drift, _struve_h0, char_exponent,
                               gauss_tail, gauss_tail_inverse, integrand)
+from levyarc.measures import integrate_batch
 from levyarc.quadrature import adaptive_quad
 from levyarc.transforms import _ChainKernel, _ScaleMixtureKernel
 
@@ -190,8 +191,23 @@ def _mixed_components_triplet():
     return la.Triplet(0.3 * np.eye(2), nu, [0.2, 0.1])
 
 
+def _centering_shift(rc, us, abs_tol):
+    # int r [ (1+u^2 r^2)^(-1) - (1+r^2)^(-1) ] against one radial measure,
+    # for every u of an array, as one batch
+    uu = us * us
+
+    def g(r, k):
+        with np.errstate(over="ignore"):
+            rr = r * r
+            return r * (1.0 / (1.0 + uu[k] * rr) - 1.0 / (1.0 + rr))
+
+    return integrate_batch(rc, g, us.size, (0.0, math.inf), abs_tol=abs_tol, g_moment=-1.0)
+
+
 def _gamma_component_by_component(t, f):
-    # the drift as one integral over the dilation measure per component
+    # the drift as one integral over the dilation measure per component, of
+    # the centering shift integrated against nu at each node: the nested
+    # route, independent of the drift's integral against nu
     spec = integrand(f)
     corr = np.zeros(t.d)
     for dirn, rc in t.nu.components:
@@ -201,30 +217,26 @@ def _gamma_component_by_component(t, f):
     return spec.lin_integral * t.gamma + corr
 
 
-def _gamma_folded_component_by_component(t):
-    # the cos_pi_half drift taken against each component's nu on its own
-    spec = integrand("cos_pi_half")
+def _gamma_drift_component_by_component(t, f):
+    # the drift of each component taken against its own nu alone
+    spec = integrand(f)
+    defect = _centering_defect(spec.tau())
     corr = np.zeros(t.d)
     for dirn, rc in t.nu.components:
-        corr += rc.weight * _arcsine_drift([rc])[0] * dirn.array
+        corr += rc.weight * _drift([rc], defect)[0] * dirn.array
     return spec.lin_integral * t.gamma + corr
 
 
 @pytest.mark.parametrize("f", ["cos_pi_half", "log", "log_sqrt", "gauss_tail_inverse",
                                _step_spec("step", [0.5, 2.0])], ids=lambda f: getattr(f, "name", f))
 def test_transform_triplet_drift_batch_matches_component_loop(f):
-    # one batch over all components gives each component's own integral, bit
-    # for bit; the arcsine dilation's drift is folded into nu, so it is
-    # compared bit for bit with the folded loop and with the nested
-    # integrals over the dilation within 1e-12
+    # the atoms of all components in one evaluation of the centering defect
+    # give each component's own drift, bit for bit, and the nested integrals
+    # over the dilation within 1e-12
     t = _mixed_components_triplet()
     out = la.transform_triplet(t, f)
-    nested = _gamma_component_by_component(t, f)
-    if f == "cos_pi_half":
-        assert out.gamma.tobytes() == _gamma_folded_component_by_component(t).tobytes()
-        assert np.max(np.abs(out.gamma - nested)) <= 1e-12
-    else:
-        assert out.gamma.tobytes() == nested.tobytes()
+    assert out.gamma.tobytes() == _gamma_drift_component_by_component(t, f).tobytes()
+    assert np.max(np.abs(out.gamma - _gamma_component_by_component(t, f))) <= 1e-12
 
 
 def test_transform_triplet_drift_is_one_engine_call(monkeypatch):
@@ -246,10 +258,72 @@ def test_transform_triplet_drift_is_one_engine_call(monkeypatch):
     t = la.Triplet(np.zeros((2, 2)), la.PolarMeasure(2, comps), [0.0, 0.0])
     out = la.transform_triplet(t, "cos_pi_half")
     assert len(calls) == 0
-    assert out.gamma.tobytes() == _gamma_folded_component_by_component(t).tobytes()
+    assert out.gamma.tobytes() == _gamma_drift_component_by_component(t, "cos_pi_half").tobytes()
     out = la.transform_triplet(t, "log")
     assert len(calls) == 1
-    assert out.gamma.tobytes() == _gamma_component_by_component(t, "log").tobytes()
+    assert out.gamma.tobytes() == _gamma_drift_component_by_component(t, "log").tobytes()
+    assert np.max(np.abs(out.gamma - _gamma_component_by_component(t, "log"))) <= 1e-12
+
+
+def _mp_drift_target(f, a):
+    # int D(r) r^a e^(-r) dr at 30 digits, with D the centering defect
+    # averaged over the dilation in closed form: for the arcsine dilation
+    # (2/pi) [asinh(r) - r/h]/h, h = sqrt(1+r^2); for e^(-u),
+    # g(1/r)/r - r/(1+r^2) with g(x) = -Ci(x) cos x - (Si(x) - pi/2) sin x.
+    # Below r = 1e-3 both brackets are summed as series, which do not cancel.
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+
+    def small(r):
+        if f == "cos_pi_half":
+            # asinh(r) - r/h = sum_n (-1)^(n+1) C(2n, n) 4^(-n) 2n/(2n+1) r^(2n+1)
+            return 2 / mp.pi * mpmath.fsum(
+                (-1) ** (n + 1) * mpmath.binomial(2 * n, n) / 4 ** n * mpmath.mpf(2 * n) / (2 * n + 1)
+                * r ** (2 * n + 1) for n in range(1, 10)) / mpmath.sqrt(1 + r * r)
+        # g(1/r)/r - r/(1+r^2) = sum_k (-1)^k ((2k+1)! - 1) r^(2k+1)
+        return mpmath.fsum((-1) ** k * (mpmath.factorial(2 * k + 1) - 1) * r ** (2 * k + 1)
+                           for k in range(1, 12))
+
+    def large(r):
+        with mp.workdps(45):
+            if f == "cos_pi_half":
+                h = mpmath.sqrt(1 + r * r)
+                return 2 / mp.pi * (mpmath.asinh(r) - r / h) / h
+            x = 1 / r
+            g = -mpmath.ci(x) * mpmath.cos(x) - (mpmath.si(x) - mp.pi / 2) * mpmath.sin(x)
+            return g / r - r / (1 + r * r)
+
+    def weight(r):
+        return r ** a * mpmath.exp(-r)
+
+    with mp.workdps(30):
+        cut = mpmath.mpf("1e-3")
+        return float(mpmath.quad(lambda r: small(r) * weight(r), [0, cut])
+                     + mpmath.quad(lambda r: large(r) * weight(r), [cut, 1, 10, mp.inf]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a", [-2.5, -2.9])
+@pytest.mark.parametrize("f", ["cos_pi_half", "log"])
+def test_drift_of_a_driver_blowing_up_like_r_to_the_minus_1_minus_alpha(f, a):
+    # nu(dr) = r^a e^(-r) dr with a + 1 = -alpha, alpha in [1, 2): the
+    # centering defect is O(r^3) and is written so that it does not cancel,
+    # so the drift converges at its 1e-12 and matches 30-digit mpmath
+    t = la.Triplet([[0.0]], la.half_line_measure(density=la.ExpPowerDensity(1.0, a, 1.0, 1.0)),
+                   [0.0])
+    got = la.transform_triplet(t, f).gamma[0]
+    assert abs(got - _mp_drift_target(f, a)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("f", ["cos_pi_half", "log", "log_sqrt", "gauss_tail_inverse"])
+def test_drift_of_atoms_at_extreme_radii(f):
+    # atoms at 1e-200 and 1e200 neither overflow nor divide by zero, and the
+    # drift matches the nested integrals over the dilation
+    nu = la.half_line_measure(atoms=[(1e-200, 1.0), (1.0, 1.0), (1e200, 1.0)])
+    t = la.Triplet([[0.0]], nu, [0.0])
+    got = la.transform_triplet(t, f).gamma
+    assert np.max(np.abs(got - _gamma_component_by_component(t, f))) <= 1e-12
 
 
 def test_char_exponent_solves_real_and_imaginary_parts_together(ex2_measure):
